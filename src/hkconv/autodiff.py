@@ -15,6 +15,8 @@ Design points:
 - ``segment_sum`` accumulates each segment in ascending value order per
   column. The order is then a function of the summand multiset alone, not
   of element labels, which makes permutation equivariance checks bitwise.
+  A stable sort within each segment, run for all segments of one length
+  at once, and one contiguous ``reduceat`` keep that order cheap.
 """
 
 from __future__ import annotations
@@ -113,11 +115,6 @@ def is_tensor(x) -> bool:
 def value_of(x) -> np.ndarray:
     """Underlying ndarray of a Tensor, or the input coerced to float64."""
     return x.value if isinstance(x, Tensor) else _as_array(x)
-
-
-def stop_gradient(x):
-    """Detach x from the graph; the result is a constant ndarray."""
-    return value_of(x)
 
 
 def _check_operand(x):
@@ -444,34 +441,48 @@ def take_slice(a, key):
     return _lift("getitem", (a,), lambda x: x[key], (maker,))
 
 
-def _segment_starts(sorted_segments: np.ndarray) -> np.ndarray:
-    if sorted_segments.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    changed = np.concatenate(([True], sorted_segments[1:] != sorted_segments[:-1]))
-    return np.flatnonzero(changed)
-
-
 def _segment_sum_sorted(vals: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
-    out = np.zeros((num_segments, vals.shape[1]))
-    for j in range(vals.shape[1]):
-        col = vals[:, j]
-        order = np.lexsort((col, segments))
-        seg_sorted = segments[order]
-        starts = _segment_starts(seg_sorted)
-        if starts.size:
-            out[seg_sorted[starts], j] = np.add.reduceat(col[order], starts)
+    width = vals.shape[1]
+    out = np.zeros((num_segments, width))
+    counts = np.bincount(segments, minlength=num_segments)
+    rows = np.argsort(segments, kind="stable")
+    first = np.cumsum(counts) - counts
+    # runs[c] holds column c of every segment as one sorted run, the
+    # segments taken in `order`: one block per distinct segment length
+    runs = np.empty((width, segments.size))
+    order = []
+    at = 0
+    for length in np.unique(counts[counts > 0]):
+        segs = np.flatnonzero(counts == length)
+        block = vals.T[:, rows[first[segs, None] + np.arange(length)]]
+        # stable: numpy's default sort can swap -0.0 for 0.0 in long rows
+        block.sort(axis=-1, kind="stable")
+        runs[:, at : at + segs.size * length] = block.reshape(width, segs.size * length)
+        order.append(segs)
+        at += segs.size * length
+    if runs.size:
+        order = np.concatenate(order)
+        starts = np.cumsum(counts[order]) - counts[order]
+        sums = np.add.reduceat(runs.ravel(), (np.arange(width)[:, None] * at + starts).ravel())
+        out[order] = sums.reshape(width, order.size).T
     return out[:, 0] if squeeze else out
 
 
 def segment_sum(values, segments, num_segments: int):
     """Sum rows of ``values`` into ``num_segments`` buckets given by ``segments``.
 
-    Each bucket is accumulated in ascending value order per column, so the
+    Each (bucket, column) run is added in ascending value order, so the
     result depends only on the multiset of summands per bucket; relabeling
-    elements can never change a bit of the output.
+    elements can never change a bit of the output. Rows are grouped by
+    bucket with one stable argsort; buckets of equal length form one
+    (column, bucket, length) block, sorted stably along its last axis; one
+    ``np.add.reduceat`` reduces every run from contiguous memory. Each run
+    thus reaches numpy's add loop with the values, order (ties in index
+    order) and length that a per-column ``lexsort`` gives it, so the bits
+    equal that reference, pairwise summation of long runs included.
     """
     segments = np.asarray(segments, dtype=np.int64)
 

@@ -372,8 +372,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     model, info = graphnet.load_checkpoint(args.checkpoint)
+    spec = info.get("data", {})
+    recorded = spec.get("source", "synth")
+    if args.data is None and recorded != "synth":
+        raise UsageError(
+            f"the checkpoint was trained on {recorded!r}; pass --data with that dataset"
+        )
     if args.data is None or args.data == "synth":
-        spec = info.get("data", {})
         data = graphnet.synth_trees_vs_random(
             spec.get("n_graphs", _DEFAULTS["data.n_graphs"]),
             spec.get("nodes_per_graph", _DEFAULTS["data.nodes_per_graph"]),

@@ -178,6 +178,15 @@ def edge_arrays(batch: GraphBatch):
     return src[order], dst[order]
 
 
+def _field_array(data: dict, key: str, dtype) -> np.ndarray:
+    try:
+        return np.asarray(data[key], dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(
+            f"dataset field {key!r} is not a rectangular array of {np.dtype(dtype).name}: {exc}"
+        ) from exc
+
+
 def load_dataset(path) -> GraphBatch:
     try:
         data = json.loads(Path(path).read_text())
@@ -186,17 +195,20 @@ def load_dataset(path) -> GraphBatch:
     for key in ("num_nodes", "features", "edges", "labels"):
         if key not in data:
             raise DataFormatError(f"dataset missing field {key!r}")
-    features = np.asarray(data["features"], dtype=np.float64)
+    features = _field_array(data, "features", np.float64)
     if features.ndim != 2 or features.shape[0] != int(data["num_nodes"]):
         raise DataFormatError("features shape disagrees with num_nodes")
-    graph_ids = np.asarray(data["graph_ids"], dtype=np.int64) if "graph_ids" in data else None
+    graph_ids = _field_array(data, "graph_ids", np.int64) if "graph_ids" in data else None
     masks = data.get("masks")
     if graph_ids is not None and masks is not None:
         raise DataFormatError("dataset declares both graph_ids and masks")
+    edges = _field_array(data, "edges", np.int64)
+    if edges.size % 2:
+        raise DataFormatError("dataset field 'edges' must hold node pairs")
     return GraphBatch(
         features=features,
-        edges=np.asarray(data["edges"], dtype=np.int64).reshape(-1, 2),
-        labels=np.asarray(data["labels"], dtype=np.int64),
+        edges=edges.reshape(-1, 2),
+        labels=_field_array(data, "labels", np.int64),
         graph_ids=graph_ids,
         masks=masks,
     )

@@ -144,11 +144,6 @@ def embed(z, kappa: float):
     return ad.concatenate([time, spatial], axis=-1)
 
 
-def sinhc(phi2):
-    cosh_phi, sinhc_phi = _cosh_sinhc(phi2)
-    return sinhc_phi
-
-
 def normalize_timelike(u, kappa: float):
     """Scale a timelike ambient vector onto the manifold.
 

@@ -4,6 +4,7 @@ PASS/FAIL line at the stated tolerance into the terminal summary."""
 import time
 
 import numpy as np
+import pytest
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
@@ -265,6 +266,7 @@ class TestAcceptance:
             f"{elapsed:.1f}s (< 2min)",
         )
 
+    @pytest.mark.slow
     def test_criterion_09_desk_scale_learning(self):
         start = time.time()
         data = gn.synth_trees_vs_random(200, 16, seed=0)
@@ -279,6 +281,7 @@ class TestAcceptance:
             f"{elapsed:.0f}s (< 5min)",
         )
 
+    @pytest.mark.slow
     def test_criterion_10_kernel_source_ablation(self):
         _, means = gn.ablation_kernel_sources(gn.HKNConfig(), seeds=5)
         ok = means["optimized"] >= means["random"]
@@ -288,6 +291,7 @@ class TestAcceptance:
             f">= random kernels {means['random']:.4f}",
         )
 
+    @pytest.mark.slow
     def test_criterion_11_kernel_count_sweep(self):
         _, table = gn.sweep_kernels(gn.HKNConfig(), K_list=(2, 3, 4, 5, 6), seeds=3)
         means = {K: mean for K, mean, _ in table}

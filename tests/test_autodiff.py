@@ -117,7 +117,98 @@ class TestPrimitiveGradients:
         np.testing.assert_array_equal(first["W"], second["W"])
 
 
+def _lexsort_segment_sum(vals, segments, num_segments):
+    """Reference: one lexsort per column, then reduceat over each bucket."""
+    squeeze = vals.ndim == 1
+    if squeeze:
+        vals = vals[:, None]
+    out = np.zeros((num_segments, vals.shape[1]))
+    for j in range(vals.shape[1]):
+        col = vals[:, j]
+        order = np.lexsort((col, segments))
+        seg_sorted = segments[order]
+        if seg_sorted.size == 0:
+            continue
+        starts = np.flatnonzero(
+            np.concatenate(([True], seg_sorted[1:] != seg_sorted[:-1]))
+        )
+        out[seg_sorted[starts], j] = np.add.reduceat(col[order], starts)
+    return out[:, 0] if squeeze else out
+
+
+def _assert_same_bits(out, ref):
+    assert out.shape == ref.shape
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(
+        out[finite].view(np.uint64), ref[finite].view(np.uint64)
+    )
+    np.testing.assert_array_equal(np.isnan(out), np.isnan(ref))
+    np.testing.assert_array_equal(out[~np.isnan(ref)], ref[~np.isnan(ref)])
+
+
 class TestSegmentSum:
+    # run lengths that reach each of numpy's summation paths: a single
+    # element, the plain loop (< 9), the unrolled block (<= 128) and the
+    # recursive pairwise split (> 128)
+    RUN_LENGTHS = (0, 1, 2, 5, 8, 9, 17, 64, 128, 129, 300, 1100)
+
+    def _heavy_tailed(self, rng, shape):
+        scale = 10.0 ** rng.integers(-12, 12, size=shape)
+        return rng.standard_cauchy(shape) * scale
+
+    def test_bits_match_per_column_lexsort(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            lengths = rng.choice(self.RUN_LENGTHS, size=n)
+            segments = np.repeat(np.arange(n), lengths)
+            rng.shuffle(segments)
+            values = self._heavy_tailed(rng, (segments.size, int(rng.integers(1, 6))))
+            num_segments = n + int(rng.integers(0, 4))
+            _assert_same_bits(
+                ad.segment_sum(values, segments, num_segments),
+                _lexsort_segment_sum(values, segments, num_segments),
+            )
+
+    def test_bits_match_for_one_dimensional_values(self, rng):
+        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
+        rng.shuffle(segments)
+        values = self._heavy_tailed(rng, segments.size)
+        out = ad.segment_sum(values, segments, len(self.RUN_LENGTHS) + 2)
+        assert out.ndim == 1
+        _assert_same_bits(out, _lexsort_segment_sum(values, segments, out.size))
+
+    def test_bits_match_with_signed_zeros_infinities_and_nans(self, rng):
+        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
+        rng.shuffle(segments)
+        values = self._heavy_tailed(rng, (segments.size, 4))
+        pick = rng.random(values.shape)
+        values[pick < 0.1] = 0.0
+        values[(pick >= 0.1) & (pick < 0.2)] = -0.0
+        values[:, 0][pick[:, 0] > 0.97] = np.inf
+        values[:, 1][pick[:, 1] > 0.97] = -np.inf
+        values[:, 2][pick[:, 2] > 0.98] = np.nan
+        # signed zeros only: a sum is -0.0 exactly when every summand is
+        values[:, 3] = np.where(pick[:, 3] < 0.9, -0.0, 0.0)
+        with np.errstate(invalid="ignore"):
+            out = ad.segment_sum(values, segments, len(self.RUN_LENGTHS))
+            ref = _lexsort_segment_sum(values, segments, len(self.RUN_LENGTHS))
+        _assert_same_bits(out, ref)
+
+    def test_bits_do_not_depend_on_row_order_within_segments(self, rng):
+        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
+        values = self._heavy_tailed(rng, (segments.size, 3))
+        base = ad.segment_sum(values, segments, len(self.RUN_LENGTHS))
+        _assert_same_bits(base, _lexsort_segment_sum(values, segments, base.shape[0]))
+        for _ in range(5):
+            p = rng.permutation(segments.size)
+            _assert_same_bits(ad.segment_sum(values[p], segments[p], base.shape[0]), base)
+
+    def test_empty_input_gives_zero_buckets(self):
+        out = ad.segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        np.testing.assert_array_equal(out, np.zeros((4, 3)))
+        flat = ad.segment_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 2)
+        np.testing.assert_array_equal(flat, np.zeros(2))
+
     def test_matches_bucketed_numpy_sums(self, rng):
         values = rng.standard_normal((8, 3))
         segments = np.array([2, 0, 1, 0, 2, 2, 1, 0])

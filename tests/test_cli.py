@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from hkconv import __version__, kernelgen, manifold
+from hkconv import __version__, graphnet, kernelgen, manifold
 from hkconv.cli import main
 
 _SMALL_TRAIN = [
@@ -224,6 +224,66 @@ class TestTrainEvalSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("features", [[0.1, 0.2], [0.3, 0.4], [0.5]]),
+            ("edges", [[0, 1], [2]]),
+            ("edges", [[0, 1, 2]]),
+            ("labels", [[0], []]),
+            ("graph_ids", [0, [0], 0]),
+        ],
+    )
+    def test_malformed_dataset_field_is_one_line_failure(self, tmp_path, capsys, field, value):
+        record = {
+            "num_nodes": 3,
+            "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+            "edges": [[0, 1], [1, 2]],
+            "labels": [0],
+            "graph_ids": [0, 0, 0],
+        }
+        record[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        code = main(["train", "--data", str(path), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure:")
+        assert repr(field) in err[0]
+
+    def test_eval_of_file_trained_checkpoint_needs_data(self, tmp_path, capsys):
+        data_path = tmp_path / "small.json"
+        graphnet.save_dataset(graphnet.synth_trees_vs_random(60, 12, 3), data_path)
+        out = tmp_path / "train"
+        assert main(
+            ["train", "--data", str(data_path), "--max-epochs", "5", "--out", str(out)]
+        ) == 0
+        checkpoint = str(out / "checkpoint.json")
+
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", checkpoint, "--out", str(tmp_path / "e0")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(data_path) in err and "--data" in err
+        assert not (tmp_path / "e0" / "report.json").exists()
+
+        eval_out = tmp_path / "e1"
+        code = main(
+            ["eval", "--checkpoint", checkpoint, "--data", str(data_path), "--out", str(eval_out)]
+        )
+        assert code == 0
+        report = json.loads((eval_out / "report.json").read_text())
+        assert report["matches_checkpoint"] is True
+
+        # naming the synthetic suite explicitly still evaluates on it
+        code = main(
+            ["eval", "--checkpoint", checkpoint, "--data", "synth", "--out", str(tmp_path / "e2")]
+        )
+        assert code == 0
+
+    @pytest.mark.slow
     def test_sweep_emits_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(
