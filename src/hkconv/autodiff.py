@@ -10,6 +10,13 @@ topological order.
 Design points:
 
 - 64-bit floats everywhere.
+- A composite map may be one tape node (:func:`_lift_joint`): its forward
+  evaluates the same NumPy expressions as the chain of primitives it
+  replaces, so values are unchanged, and a hand-written rule gives all
+  of its adjoints at once from what the forward kept.
+- The reverse pass keeps an interior node's adjoint only until that
+  node's VJPs have run and returns the adjoints of leaves alone, so the
+  live adjoints are those of the current frontier, not of the whole graph.
 - Adjoints of the clamped acosh are zero wherever the clamp is active, so
   distances have a zero subgradient at coincident points.
 - ``segment_sum`` accumulates each segment in ascending value order per
@@ -156,6 +163,39 @@ def _lift(op: str, inputs: tuple, forward: Callable, vjp_makers: tuple):
     if not tensor_parents:
         return out_val
     return Tensor(out_val, tuple(tensor_parents), tuple(vjps), op)
+
+
+def _lift_joint(op: str, inputs: tuple, forward: Callable, backward: Callable):
+    """One tape node for a composite map whose adjoints share their work.
+
+    ``forward(*input_values)`` returns ``(out, saved)``: the output and
+    what the backward rule needs. ``backward(g, saved, needs)`` returns one
+    adjoint per input, where ``needs[i]`` tells whether input i is a Tensor
+    (the entry of a constant input is ignored and may be None). It runs
+    once per visit of the node: the first VJP called computes every
+    adjoint, each VJP hands out its own, and the last one drops them.
+    """
+    needs = tuple(isinstance(x, Tensor) for x in inputs)
+    state = {}
+
+    def run(*vals):
+        out, state["saved"] = forward(*vals)
+        return out
+
+    def maker(i):
+        def vjp(g):
+            if "grads" not in state:
+                state["grads"] = backward(g, state["saved"], needs)
+                state["left"] = sum(needs)
+            grad_i = state["grads"][i]
+            state["left"] -= 1
+            if not state["left"]:
+                del state["grads"]
+            return grad_i
+
+        return lambda out, *vals: vjp
+
+    return _lift(op, inputs, run, tuple(maker(i) for i in range(len(inputs))))
 
 
 # ---------------------------------------------------------------------------
@@ -543,26 +583,45 @@ class Tape:
                     stack.append(parent)
 
     def gradients(self) -> dict[int, np.ndarray]:
-        """Adjoints of every reachable node, keyed by tensor id."""
+        """Adjoints of the leaves (tensors without parents), keyed by tensor id.
+
+        Interior adjoints are not returned: each is dropped as soon as the
+        VJPs of its node have run, so only the adjoints of nodes still
+        waiting for a consumer are alive at any time. A node reached along
+        several paths sums its contributions in arrival order; the first
+        sum allocates a buffer the walk owns and later contributions are
+        added into it in place.
+        """
         grads: dict[int, np.ndarray] = {id(self.output): np.ones_like(self.output.value)}
+        owned: set[int] = set()
+        leaves: dict[int, np.ndarray] = {}
         pending = dict(self._consumers)
         ready = [self.output]
         while ready:
             node = ready.pop()
-            g = grads[id(node)]
+            key = id(node)
+            g = grads.pop(key)
+            owned.discard(key)
             if np.isnan(g).any():
                 raise NumericError("NaN adjoint in backward pass", op_path=node.op)
+            if not node.parents:
+                leaves[key] = g
+                continue
             for parent, vjp in zip(node.parents, node.vjps):
                 contribution = vjp(g)
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contribution
-                else:
+                if key not in grads:
                     grads[key] = contribution
+                elif key in owned:
+                    grads[key] += contribution
+                else:
+                    # the stored adjoint may be shared with another node
+                    grads[key] = grads[key] + contribution
+                    owned.add(key)
                 pending[key] -= 1
                 if pending[key] == 0:
                     ready.append(parent)
-        return grads
+        return leaves
 
 
 class ParamStore:

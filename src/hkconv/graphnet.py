@@ -195,8 +195,11 @@ def load_dataset(path) -> GraphBatch:
     for key in ("num_nodes", "features", "edges", "labels"):
         if key not in data:
             raise DataFormatError(f"dataset missing field {key!r}")
+    num_nodes = data["num_nodes"]
+    if isinstance(num_nodes, bool) or not isinstance(num_nodes, int):
+        raise DataFormatError(f"dataset field 'num_nodes' must be an integer, got {num_nodes!r}")
     features = _field_array(data, "features", np.float64)
-    if features.ndim != 2 or features.shape[0] != int(data["num_nodes"]):
+    if features.ndim != 2 or features.shape[0] != num_nodes:
         raise DataFormatError("features shape disagrees with num_nodes")
     graph_ids = _field_array(data, "graph_ids", np.int64) if "graph_ids" in data else None
     masks = data.get("masks")
@@ -496,6 +499,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
     kappa = cfg.curvature
     src, dst = edge_arrays(batch)
     num_edges = src.shape[0]
+    lmath.check_embed_range(batch.features, kappa)
     x = lmath.embed(batch.features, kappa)
     for i in range(cfg.layers):
         drop_masks = None
@@ -514,7 +518,6 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             batch.num_nodes,
             _layer_sublayers(leaves, i, cfg.K),
             model.layer_kernels[i].coords_array(),
-            "relative",
             cfg.pooling_weights,
             kappa,
             drop_masks,

@@ -9,8 +9,7 @@ name / trials / max_error / passed:
 * layers: manifold closure of every layer output, aggregation-weight
   scale invariance, distance-readout consistency, attention row sums.
 * theorem1: convolution output is unchanged when the root and its whole
-  neighborhood are translated along the root's geodesic from the origin
-  (relative mode).
+  neighborhood are translated along the root's geodesic from the origin.
 * prop1: relabeling nodes permutes node-wise convolution outputs and
   end-to-end node-task logits bit for bit.
 

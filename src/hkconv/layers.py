@@ -37,7 +37,6 @@ from .kernelgen import KernelSet
 
 ACTIVATIONS = ("identity", "relu", "tanh")
 POOLINGS = ("uniform", "attention")
-MODES = ("relative", "direct")
 
 # norm of the pre-normalization vector below which the gated map is undefined
 _DEGENERATE_NORM = 1e-12
@@ -140,20 +139,56 @@ def hlinear_core(
     x may be (in_dim+1,) or (..., in_dim+1); parameters may be ndarrays or
     autodiff tensors. drop_mask, when given, multiplies the
     pre-normalization vector (inverted-dropout masks come pre-scaled).
+    After the activation the map is one tape op; its backward rule uses
+    the pre-normalization vector u, its norm and the gate kept by the
+    forward.
     """
-    tx = _apply_activation(activation, x)
-    u = ad.matmul(tx, ad.transpose(weight)) + bias
-    if drop_mask is not None:
-        u = u * drop_mask
-    norm_sq = ad.sum(u * u, axis=-1, keepdims=True)
-    if float(np.min(ad.value_of(norm_sq))) < _DEGENERATE_NORM**2:
-        raise DegenerateGeometryError(
-            "gated linear transform: pre-normalization vector has vanishing norm"
+
+    def forward(x, tx, weight, gate_vec, bias, gate_bias, log_scale):
+        u = tx @ weight.T + bias
+        if drop_mask is not None:
+            u = u * drop_mask
+        norm_sq = np.sum(u * u, axis=-1, keepdims=True)
+        if float(np.min(norm_sq)) < _DEGENERATE_NORM**2:
+            raise DegenerateGeometryError(
+                "gated linear transform: pre-normalization vector has vanishing norm"
+            )
+        gate_logit = np.sum(x * gate_vec, axis=-1, keepdims=True)
+        sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
+        gate = np.exp(log_scale) * sig
+        norm = np.sqrt(norm_sq)
+        out = lmath._lifted(gate / norm * u, kappa)
+        return out, (out, x, tx, weight, gate_vec, u, norm, gate, sig)
+
+    def backward(g, saved, needs):
+        out, x, tx, weight, gate_vec, u, norm, gate, sig = saved
+        g_time, g_spatial = g[..., :1], g[..., 1:]
+        # spatial = gate * u / |u| has norm gate, so the time coordinate
+        # depends on the gate alone and u receives only the spatial adjoint
+        along = np.einsum("...i,...i->...", g_spatial, u)[..., None]
+        g_u = gate / norm * (g_spatial - along / (norm * norm) * u)
+        if drop_mask is not None:
+            g_u = g_u * drop_mask
+        g_gate = along / norm + g_time * (gate / out[..., :1])
+        g_logit = g_gate * gate * (1.0 - sig)
+        need_x, need_tx, need_w, need_gv, need_b, need_gb, need_ls = needs
+        rows_u = g_u.reshape(-1, g_u.shape[-1])
+        rows_x = x.reshape(-1, x.shape[-1])
+        rows_logit = g_logit.reshape(-1)
+        return (
+            g_logit * gate_vec if need_x else None,
+            g_u @ weight if need_tx else None,
+            rows_u.T @ tx.reshape(-1, tx.shape[-1]) if need_w else None,
+            (rows_logit @ rows_x).reshape(gate_vec.shape) if need_gv else None,
+            (np.ones(len(rows_u)) @ rows_u).reshape(bias.shape) if need_b else None,
+            ad._unbroadcast(g_logit, np.shape(gate_bias)) if need_gb else None,
+            ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
         )
-    gate_logit = ad.sum(x * gate_vec, axis=-1, keepdims=True)
-    gate = ad.exp(log_scale) * ad.sigmoid(gate_logit + gate_bias)
-    spatial = gate / ad.sqrt(norm_sq) * u
-    return lmath.from_spatial(spatial, kappa)
+
+    tx = _apply_activation(activation, x)
+    return ad._lift_joint(
+        "hlinear", (x, tx, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
+    )
 
 
 def _derived_cfg(cfg: manifold.ManifoldConfig, dim: int) -> manifold.ManifoldConfig:
@@ -302,23 +337,19 @@ class HKConvParams:
     """One kernel-point convolution layer.
 
     sublayers        one gated linear transform per kernel point
-    kernels          the kernel point set (in the layer's input space)
-    mode             'relative' recenters each neighborhood at its root
-                     before comparing against the kernels; 'direct'
-                     translates the kernels out to the root instead
+    kernels          the kernel point set (in the layer's input space); each
+                     neighborhood is recentered at its root before it is
+                     compared against them
     pooling_weights  'uniform' or distance-based 'attention' over neighbors
     """
 
     sublayers: tuple
     kernels: KernelSet
-    mode: str = "relative"
     pooling_weights: str = "uniform"
 
     def __post_init__(self):
         sublayers = tuple(self.sublayers)
         object.__setattr__(self, "sublayers", sublayers)
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}")
         if self.pooling_weights not in POOLINGS:
             raise ParameterError(f"unknown pooling {self.pooling_weights!r}")
         if len(sublayers) != self.kernels.K:
@@ -346,14 +377,13 @@ def init_hkconv(
     rng: np.random.Generator,
     kernels: KernelSet,
     out_dim: int,
-    mode: str = "relative",
     pooling_weights: str = "uniform",
     activation: str = "identity",
 ) -> HKConvParams:
     sublayers = tuple(
         init_hlinear(rng, kernels.cfg.dim, out_dim, activation) for _ in range(kernels.K)
     )
-    return HKConvParams(sublayers, kernels, mode, pooling_weights)
+    return HKConvParams(sublayers, kernels, pooling_weights)
 
 
 def _sublayer_arrays(p: HKConvParams):
@@ -368,35 +398,18 @@ def _edge_points(
     neighbor_rows,
     sublayers,
     kernel_rows,
-    mode: str,
     kappa: float,
     drop_masks=None,
 ):
     """Per-edge kernel aggregation -> (E, out_dim+1) points on the manifold.
 
-    In relative mode each neighbor is recentered at its root and compared
-    against the kernels where they live, around the origin. In direct mode
-    the kernels are carried out to the root instead (differentiably, since
-    the roots move during training) and the raw neighbor is compared
-    against the carried copies.
+    Each neighbor is recentered at its root and compared against the
+    kernels where they live, around the origin.
     """
     K = ad.value_of(kernel_rows).shape[0]
     if len(sublayers) != K:
         raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
-    if mode == "relative":
-        feats = lmath.ominus(neighbor_rows, center_rows, kappa)
-        moved_kernels = None
-    elif mode == "direct":
-        feats = neighbor_rows
-        width = ad.value_of(kernel_rows).shape[1]
-        origin_row = lmath.origin_row(width - 1, kappa)
-        moved_kernels = [
-            lmath.translate(origin_row, center_rows, kernel_rows[k], kappa)
-            for k in range(K)
-        ]
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-
+    feats = lmath.ominus(neighbor_rows, center_rows, kappa)
     aggregate = None
     for k in range(K):
         weight, gate_vec, bias, gate_bias, log_scale, activation = sublayers[k]
@@ -404,8 +417,7 @@ def _edge_points(
         transformed = hlinear_core(
             feats, weight, gate_vec, bias, gate_bias, log_scale, activation, kappa, mask
         )
-        target = kernel_rows[k] if mode == "relative" else moved_kernels[k]
-        nu = lmath.dist(feats, target, kappa)
+        nu = lmath.dist(feats, kernel_rows[k], kappa)
         term = _as_column(nu) * transformed
         aggregate = term if aggregate is None else aggregate + term
     return lmath.normalize_timelike(aggregate, kappa)
@@ -418,7 +430,6 @@ def hkconv_core(
     num_segments: int,
     sublayers,
     kernel_rows,
-    mode: str,
     pooling_weights: str,
     kappa: float,
     drop_masks=None,
@@ -436,9 +447,7 @@ def hkconv_core(
 
     Returns (num_segments, out_dim+1): one pooled point per segment.
     """
-    per_edge = _edge_points(
-        center_rows, neighbor_rows, sublayers, kernel_rows, mode, kappa, drop_masks
-    )
+    per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
     if pooling_weights == "uniform":
         pooled = ad.segment_sum(per_edge, segments, num_segments)
     elif pooling_weights == "attention":
@@ -496,16 +505,13 @@ def hkconv(
                 1,
                 _sublayer_arrays(p),
                 kernel_rows,
-                p.mode,
                 p.pooling_weights,
                 kappa,
             )
         )[0]
     else:
         per_edge = np.asarray(
-            _edge_points(
-                center_rows, neighbor_rows, _sublayer_arrays(p), kernel_rows, p.mode, kappa
-            )
+            _edge_points(center_rows, neighbor_rows, _sublayer_arrays(p), kernel_rows, kappa)
         )
         out = np.asarray(hcent_core(per_edge, attn.values, kappa))
     return manifold.LorentzPoint(out, _derived_cfg(x.cfg, p.out_dim))

@@ -19,11 +19,19 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DomainError
 from .manifold import PHI_MIN
 
 # squared-norm switch point for the series forms of cosh/sinhc
 _PHI2_MIN = PHI_MIN * PHI_MIN
 _LOG_SERIES_H = 1e-6
+
+# Largest radius sqrt(-kappa) * |z| that embed lifts with a constraint
+# residual |kappa <x,x>_L - 1| of at most EMBED_RESIDUAL_TOL. The residual
+# grows like eps * cosh(r)^2, about 7.4x per unit of radius, whatever the
+# curvature; tests/test_lmath.py sweeps it on both sides of the bound.
+EMBED_MAX_RADIUS = 11.0
+EMBED_RESIDUAL_TOL = 1e-6
 
 
 def metric_row(dim: int) -> np.ndarray:
@@ -39,16 +47,47 @@ def origin_row(dim: int, kappa: float) -> np.ndarray:
     return row
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sum(x * (metric_row(x.shape[-1] - 1) * y), axis=-1)
+
+
+def _inner_vjps(g, x, y, needs):
+    """Adjoints of x and y for the adjoint g of inner(x, y)."""
+    g = g[..., None]
+    metric = metric_row(x.shape[-1] - 1)
+    gx = ad._unbroadcast(g * (metric * y), x.shape) if needs[0] else None
+    gy = ad._unbroadcast(g * x * metric, y.shape) if needs[1] else None
+    return gx, gy
+
+
 def inner(x, y):
-    """Row-wise Lorentz inner product along the last axis."""
-    dim = ad.value_of(x).shape[-1] - 1
-    return ad.sum(x * (metric_row(dim) * y), axis=-1)
+    """Row-wise Lorentz inner product along the last axis (one tape op)."""
+    return ad._lift_joint(
+        "inner",
+        (x, y),
+        lambda a, b: (_inner(a, b), (a, b)),
+        lambda g, saved, needs: _inner_vjps(g, *saved, needs),
+    )
+
+
+def _lifted(spatial: np.ndarray, kappa: float) -> np.ndarray:
+    time = np.sqrt(np.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+    return np.concatenate([time, spatial], axis=-1)
+
+
+def _lifted_vjp(g: np.ndarray, out: np.ndarray, spatial: np.ndarray) -> np.ndarray:
+    """Adjoint of the spatial rows for the adjoint g of _lifted's output."""
+    return g[..., 1:] + g[..., :1] / out[..., :1] * spatial
 
 
 def from_spatial(spatial, kappa: float):
     """Lift spatial rows onto the manifold by solving for the time component."""
-    time = ad.sqrt(ad.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
-    return ad.concatenate([time, spatial], axis=-1)
+    return ad._lift(
+        "from_spatial",
+        (spatial,),
+        lambda s: _lifted(s, kappa),
+        (lambda out, s: lambda g: _lifted_vjp(g, out, s),),
+    )
 
 
 def time_normalized(x, kappa: float):
@@ -57,25 +96,59 @@ def time_normalized(x, kappa: float):
     Identity on the manifold; numerically it pins the constraint back to
     machine precision after a chain of maps.
     """
-    return from_spatial(x[..., 1:], kappa)
+
+    def maker(out, x):
+        def vjp(g):
+            gx = np.zeros_like(x)
+            gx[..., 1:] = _lifted_vjp(g, out, x[..., 1:])
+            return gx
+
+        return vjp
+
+    return ad._lift("time_normalized", (x,), lambda x: _lifted(x[..., 1:], kappa), (maker,))
+
+
+def _acosh_adjoint(g: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
+    """Adjoint of <x,y>_L for the adjoint g of acosh(max(kappa <x,y>_L, 1)) / sqrt(-kappa).
+
+    Zero where the argument is within ACOSH_GRAD_GUARD of 1, like
+    ad.arccosh; the clamp is active only there.
+    """
+    safe = z > 1.0 + ad.ACOSH_GRAD_GUARD
+    denom = np.sqrt(np.where(safe, z * z - 1.0, 1.0))
+    return np.where(safe, (g / math.sqrt(-kappa)) / denom, 0.0) * kappa
 
 
 def dist(x, y, kappa: float):
     """Row-wise geodesic distance with the acosh argument clamped to [1, inf)."""
-    z = ad.clamp_min(kappa * inner(x, y), 1.0)
-    return ad.arccosh(z) / math.sqrt(-kappa)
 
+    def forward(a, b):
+        z = np.maximum(kappa * _inner(a, b), 1.0)
+        return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), (a, b, z)
 
-def cross_inner(x, y):
-    """All-pairs Lorentz inner products: (N, d+1) x (M, d+1) -> (N, M)."""
-    dim = ad.value_of(x).shape[-1] - 1
-    return ad.matmul(x, ad.transpose(metric_row(dim) * y))
+    def backward(g, saved, needs):
+        a, b, z = saved
+        return _inner_vjps(_acosh_adjoint(g, z, kappa), a, b, needs)
+
+    return ad._lift_joint("dist", (x, y), forward, backward)
 
 
 def cross_dist(x, y, kappa: float):
     """All-pairs geodesic distances: (N, d+1) x (M, d+1) -> (N, M)."""
-    z = ad.clamp_min(kappa * cross_inner(x, y), 1.0)
-    return ad.arccosh(z) / math.sqrt(-kappa)
+
+    def forward(a, b):
+        scaled = metric_row(b.shape[-1] - 1) * b
+        z = np.maximum(kappa * (a @ scaled.T), 1.0)
+        return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), (a, scaled, z)
+
+    def backward(g, saved, needs):
+        a, scaled, z = saved
+        g = _acosh_adjoint(g, z, kappa)
+        gx = g @ scaled if needs[0] else None
+        gy = (a.T @ g).T * metric_row(a.shape[-1] - 1) if needs[1] else None
+        return gx, gy
+
+    return ad._lift_joint("cross_dist", (x, y), forward, backward)
 
 
 def _cosh_sinhc(phi2):
@@ -144,14 +217,41 @@ def embed(z, kappa: float):
     return ad.concatenate([time, spatial], axis=-1)
 
 
+def check_embed_range(z: np.ndarray, kappa: float) -> None:
+    """Raise DomainError for the first row of z that embed cannot lift
+    accurately: one whose radius sqrt(-kappa) * |z| exceeds EMBED_MAX_RADIUS
+    (or is not finite)."""
+    radius = math.sqrt(-kappa) * np.sqrt(np.sum(z * z, axis=-1))
+    beyond = np.flatnonzero(~(radius <= EMBED_MAX_RADIUS))
+    if beyond.size:
+        row = int(beyond[0])
+        raise DomainError(
+            f"feature row {row} has norm {radius[row] / math.sqrt(-kappa):.6g}, radius "
+            f"{radius[row]:.6g} at curvature {kappa:g}; embedding is accurate up to "
+            f"radius {EMBED_MAX_RADIUS:g}, so rescale the features"
+        )
+
+
 def normalize_timelike(u, kappa: float):
     """Scale a timelike ambient vector onto the manifold.
 
     u / (sqrt(-kappa) * |<u,u>_L|^(1/2)); the centroid normalization.
     """
-    sq = ad.absolute(inner(u, u))
-    denom = math.sqrt(-kappa) * ad.sqrt(sq)
-    return u / ad.reshape(denom, ad.value_of(denom).shape + (1,))
+
+    def forward(v):
+        square = _inner(v, v)
+        denom = math.sqrt(-kappa) * np.sqrt(np.abs(square))
+        out = v / denom[..., None]
+        return out, (out, np.sign(square), denom)
+
+    def backward(g, saved, needs):
+        out, sign, denom = saved
+        # d denom / d v = -kappa * sign<v,v>_L * metric * out
+        along = np.sum(g * out, axis=-1) * ((-kappa) * sign)
+        metric = metric_row(out.shape[-1] - 1)
+        return ((g - along[..., None] * (metric * out)) / denom[..., None],)
+
+    return ad._lift_joint("normalize_timelike", (u,), forward, backward)
 
 
 def poincare_projection(points: np.ndarray, kappa: float) -> np.ndarray:

@@ -232,6 +232,9 @@ class TestTrainEvalSweep:
             ("edges", [[0, 1, 2]]),
             ("labels", [[0], []]),
             ("graph_ids", [0, [0], 0]),
+            ("num_nodes", "three"),
+            ("num_nodes", 3.7),
+            ("num_nodes", True),
         ],
     )
     def test_malformed_dataset_field_is_one_line_failure(self, tmp_path, capsys, field, value):
@@ -252,6 +255,20 @@ class TestTrainEvalSweep:
         assert len(err) == 1
         assert err[0].startswith("failure:")
         assert repr(field) in err[0]
+
+    def test_features_beyond_embedding_range_are_one_line_failure(self, tmp_path, capsys):
+        data = graphnet.synth_trees_vs_random(20, 8, 1)
+        scaled = graphnet.GraphBatch(
+            data.features * 30.0, data.edges, data.labels, graph_ids=data.graph_ids
+        )
+        path = tmp_path / "scaled.json"
+        graphnet.save_dataset(scaled, path)
+        capsys.readouterr()
+        code = main(["train", "--data", str(path), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure: feature row 0 has norm 30")
 
     def test_eval_of_file_trained_checkpoint_needs_data(self, tmp_path, capsys):
         data_path = tmp_path / "small.json"

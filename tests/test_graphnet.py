@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from hkconv import autodiff as ad
 from hkconv import graphnet as gn
 from hkconv import lmath
 from hkconv.errors import (
     BuildError,
     DataFormatError,
+    DomainError,
     NumericError,
     ParameterError,
 )
@@ -236,6 +238,31 @@ class TestModelAssembly:
         )
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
+
+    @pytest.mark.parametrize("pooling, ops", (("uniform", 126), ("attention", 138)))
+    def test_gradient_tape_op_budget(self, pooling, ops):
+        # each Lorentz map and each gated transform is one tape node; this
+        # count is exact, so a change that re-inflates the tape shows here
+        data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
+        model = gn.build_hkn(
+            gn.HKNConfig(pooling_weights=pooling),
+            feature_dim=data.feature_dim,
+            num_classes=data.num_classes,
+        )
+        train_idx = gn.split_indices(data, "train")
+        logits = gn.forward_logits(model, data, model.store.tensors())
+        loss = gn._nll(logits, data.labels[train_idx], train_idx, model.num_classes)
+        tape = ad.Tape(loss)
+        assert sum(node.op != "leaf" for node in tape._nodes) == ops
+
+    def test_features_beyond_the_embedding_range_are_rejected(self):
+        data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
+        model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
+        scaled = gn.GraphBatch(
+            data.features * 30.0, data.edges, data.labels, graph_ids=data.graph_ids
+        )
+        with pytest.raises(DomainError, match="feature row 0 has norm 30"):
+            gn.forward_logits(model, scaled)
 
     def test_config_validation(self):
         for bad in (

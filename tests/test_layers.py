@@ -22,6 +22,20 @@ def _naive_hlinear(coords, p, kappa):
     return np.concatenate(([time], spatial))
 
 
+def _composite_hlinear(x, weight, gate_vec, bias, gate_bias, log_scale, activation, kappa, mask):
+    # the gated transform as the chain of autodiff primitives it fuses
+    tx = layers._apply_activation(activation, x)
+    u = ad.matmul(tx, ad.transpose(weight)) + bias
+    if mask is not None:
+        u = u * mask
+    norm_sq = ad.sum(u * u, axis=-1, keepdims=True)
+    gate_logit = ad.sum(x * gate_vec, axis=-1, keepdims=True)
+    gate = ad.exp(log_scale) * ad.sigmoid(gate_logit + gate_bias)
+    spatial = gate / ad.sqrt(norm_sq) * u
+    time = ad.sqrt(ad.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+    return ad.concatenate([time, spatial], axis=-1)
+
+
 def _lorentz_norm_scale(s, kappa):
     sq = -(s[0] ** 2) + s[1:] @ s[1:]
     return np.sqrt(-kappa * abs(sq))
@@ -100,6 +114,53 @@ class TestHLinear:
 
         report = ad.finite_diff_check(loss, store)
         assert max(report.values()) <= 1e-5
+
+
+    @pytest.mark.parametrize("activation", layers.ACTIVATIONS)
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_fused_op_matches_composite(self, rng, activation, masked):
+        # forward bit for bit, every adjoint to 1e-12 of the oracle's largest
+        kappa = -0.7
+        x = lmath.embed(0.7 * rng.standard_normal((25, 3)), kappa)
+        args = {
+            "x": x,
+            "weight": rng.uniform(-0.5, 0.5, size=(5, 4)),
+            "gate_vec": rng.standard_normal(4),
+            "bias": rng.standard_normal(5),
+            "gate_bias": np.asarray(0.3),
+            "log_scale": np.asarray(-0.2),
+        }
+        mask = (rng.random((25, 5)) < 0.7) / 0.7 if masked else None
+        names = list(args)
+
+        def run(fn, values):
+            return fn(*[values[n] for n in names], activation, kappa, mask)
+
+        fused = run(layers.hlinear_core, args)
+        np.testing.assert_array_equal(
+            fused.view(np.int64), run(_composite_hlinear, args).view(np.int64)
+        )
+        store = ad.ParamStore()
+        for n in names:
+            store.add(n, args[n])
+        weights = rng.standard_normal(fused.shape)
+        got = ad.grad(lambda leaves: ad.sum(run(layers.hlinear_core, leaves) * weights), store)
+        want = ad.grad(lambda leaves: ad.sum(run(_composite_hlinear, leaves) * weights), store)
+        leaves = store.tensors()
+        np.testing.assert_array_equal(
+            run(layers.hlinear_core, leaves).value.view(np.int64), fused.view(np.int64)
+        )
+        for n in names:
+            scale = np.max(np.abs(want[n]))
+            assert np.max(np.abs(got[n] - want[n])) <= 1e-12 * scale, n
+
+    def test_fused_op_records_one_node_after_the_activation(self, rng):
+        p = layers.init_hlinear(rng, 3, 4)
+        x = ad.Tensor(lmath.embed(rng.standard_normal((6, 3)), -1.0))
+        leaves = [ad.Tensor(a) for a in (p.weight, p.gate_vec, p.bias)]
+        out = layers.hlinear_core(x, *leaves, 0.0, 0.0, "identity", -1.0)
+        assert out.op == "hlinear"
+        assert all(parent.op == "leaf" for parent in out.parents)
 
 
 class TestHCent:
@@ -206,15 +267,14 @@ class TestHKConv:
         np.testing.assert_allclose(got.coords, want, rtol=1e-9, atol=1e-11)
 
     def test_output_is_on_manifold(self, cfg3, rng):
-        for mode in layers.MODES:
-            for pooling in layers.POOLINGS:
-                p = self._params(rng, cfg3, mode=mode, pooling_weights=pooling)
-                x = manifold.random_point(rng, cfg3)
-                nbrs = [manifold.random_point(rng, cfg3) for _ in range(4)]
-                y = layers.hkconv(x, nbrs, p)
-                inner = lmath.inner(y.coords, y.coords)
-                assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
-                assert y.coords[0] > 0
+        for pooling in layers.POOLINGS:
+            p = self._params(rng, cfg3, pooling_weights=pooling)
+            x = manifold.random_point(rng, cfg3)
+            nbrs = [manifold.random_point(rng, cfg3) for _ in range(4)]
+            y = layers.hkconv(x, nbrs, p)
+            inner = lmath.inner(y.coords, y.coords)
+            assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
+            assert y.coords[0] > 0
 
     def test_local_translation_invariance_in_relative_mode(self, cfg3, rng):
         # moving root and neighborhood together along the root geodesic
@@ -231,19 +291,6 @@ class TestHKConv:
             moved_nbrs = [manifold.translate(x, y, nb) for nb in nbrs]
             out = layers.hkconv(moved_x, moved_nbrs, p).coords
             np.testing.assert_allclose(out, base, rtol=1e-6, atol=1e-8)
-
-    def test_direct_mode_is_not_translation_invariant(self, cfg3, rng):
-        p = self._params(rng, cfg3, K=4, mode="direct")
-        x = manifold.random_point(rng, cfg3)
-        nbrs = [manifold.random_point(rng, cfg3) for _ in range(5)]
-        base = layers.hkconv(x, nbrs, p).coords
-        y = manifold.random_point(rng, cfg3)
-        moved = layers.hkconv(
-            manifold.translate(x, y, x),
-            [manifold.translate(x, y, nb) for nb in nbrs],
-            p,
-        ).coords
-        assert np.max(np.abs(moved - base)) > 1e-3
 
     def test_neighbor_order_is_bitwise_irrelevant(self, cfg3, rng):
         for pooling in layers.POOLINGS:
@@ -293,7 +340,7 @@ class TestHKConv:
         with pytest.raises(DimensionError):
             layers.hkconv(x, nbrs, attn_p, attn=layers.WeightVector(np.ones(5)))
         with pytest.raises(ParameterError):
-            layers.HKConvParams(p.sublayers, p.kernels, mode="sideways")
+            layers.HKConvParams(p.sublayers, p.kernels, pooling_weights="sideways")
         with pytest.raises(DimensionError):
             layers.hkconv_core(
                 np.tile(x.coords, (2, 1)),
@@ -302,18 +349,17 @@ class TestHKConv:
                 1,
                 (),
                 p.kernels.coords_array(),
-                "relative",
                 "uniform",
                 cfg3.curvature,
             )
 
-    def test_gradients_match_finite_differences_both_modes(self, cfg3, rng):
+    def test_gradients_match_finite_differences_both_poolings(self, cfg3, rng):
         x = manifold.random_point(rng, cfg3)
         nbrs = np.stack([manifold.random_point(rng, cfg3).coords for _ in range(4)])
         centers = np.tile(x.coords, (4, 1))
         segments = np.zeros(4, dtype=np.int64)
         kernels = _fixed_kernels(rng, 3, cfg3).coords_array()
-        for mode in layers.MODES:
+        for pooling in layers.POOLINGS:
             store = ad.ParamStore()
             inits = [layers.init_hlinear(rng, 3, 3) for _ in range(3)]
             for k, init in enumerate(inits):
@@ -321,14 +367,13 @@ class TestHKConv:
                 store.add(f"g{k}", rng.standard_normal(4) * 0.3)
                 store.add(f"b{k}", rng.standard_normal(3) * 0.3)
 
-            def loss(leaves, mode=mode):
+            def loss(leaves, pooling=pooling):
                 subs = tuple(
                     (leaves[f"w{k}"], leaves[f"g{k}"], leaves[f"b{k}"], 0.0, 0.0, "identity")
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
-                    centers, nbrs, segments, 1, subs, kernels, mode, "uniform",
-                    cfg3.curvature,
+                    centers, nbrs, segments, 1, subs, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
