@@ -4,7 +4,7 @@ Modules:
 
 * manifold: validated scalar geometry (points, tangent vectors, maps)
 * lmath: the same geometry on coordinate arrays, autodiff-transparent
-* autodiff: minimal reverse-mode engine, parameter store, optimizers
+* autodiff: minimal reverse-mode engine, parameter store, Adam
 * kernelgen: kernel-point placement solver and experiments
 * layers: hyperbolic network layers (feature transform, centroid,
   distance readout, kernel-point convolution)

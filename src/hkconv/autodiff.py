@@ -33,8 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import manifold
-from .errors import BuildError, DimensionError, DomainError, NumericError
+from .errors import BuildError, DimensionError, NumericError
 
 # Adjoint guard for acosh: arguments closer to 1 than this are treated as
 # coincident points and receive zero gradient instead of a near-singular one.
@@ -113,10 +112,6 @@ class Tensor:
 
     def __abs__(self):
         return absolute(self)
-
-
-def is_tensor(x) -> bool:
-    return isinstance(x, Tensor)
 
 
 def value_of(x) -> np.ndarray:
@@ -669,11 +664,20 @@ class ParamStore:
         return {path: value.tolist() for path, value in self._leaves.items()}
 
     def load_dict(self, tree: dict) -> None:
+        """Overwrite every leaf from a {path: value} tree such as to_dict
+        writes. The tree must name exactly this store's paths, each with
+        the leaf's shape; the store keeps its own path order."""
+        for path in self._leaves:
+            if path not in tree:
+                raise BuildError(f"parameter {path!r} is missing")
         for path, value in tree.items():
-            if path in self._leaves:
-                self.set_(path, value)
-            else:
-                self.add(path, value)
+            if path not in self._leaves:
+                raise BuildError(f"unknown parameter {path!r}")
+            try:
+                value = _as_array(value)
+            except (TypeError, ValueError) as exc:
+                raise DimensionError(f"parameter {path!r} is not a numeric array: {exc}") from exc
+            self.set_(path, value)
 
 
 def grad(loss_fn: Callable, store: ParamStore) -> dict[str, np.ndarray]:
@@ -763,12 +767,3 @@ def adam_step(
         store._leaves[path] = p - lr * (update + weight_decay * p)
     return store
 
-
-def rgd_step(
-    point: manifold.LorentzPoint, rgrad: manifold.TangentVector, lr: float
-) -> manifold.LorentzPoint:
-    """One Riemannian gradient descent step: exp_point(-lr * rgrad)."""
-    if not np.array_equal(rgrad.base.coords, point.coords):
-        raise DomainError("gradient is not tangent at the stepped point")
-    step = manifold.TangentVector(point, -lr * rgrad.vec)
-    return manifold.exp_map(step)

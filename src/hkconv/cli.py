@@ -62,6 +62,7 @@ _FLAG_TO_KEY = {
     "curvature": "model.curvature",
     "dropout": "model.dropout",
     "lr": "model.lr",
+    "solver_lr": "solver.lr",
     "weight_decay": "model.weight_decay",
     "pooling": "model.pooling_weights",
     "task": "model.task",
@@ -228,7 +229,7 @@ def cmd_kernel_gen(args) -> int:
         raise UsageError("kernel-gen needs --dim >= 1")
     solver = _usage_guard(
         kernelgen.SolverConfig,
-        learning_rate=resolved["solver.lr"] if args.lr is None else args.lr,
+        learning_rate=resolved["solver.lr"],
         max_iters=resolved["solver.max_iters"],
         grad_tol=resolved["solver.grad_tol"],
         seed=resolved["model.seed"],
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="solver_lr", type=float, default=None)
     p.set_defaults(func=cmd_kernel_gen)
 
     p = sub.add_parser("invariants", help="run randomized property suites")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from . import kernelgen, layers, lmath, manifold
 from .errors import (
     BuildError,
     DataFormatError,
+    DimensionError,
     NumericError,
     ParameterError,
 )
@@ -451,34 +452,28 @@ def build_hkn(
     layer_kernels = [_kernels_for_dim(cfg, feature_dim, kernels)]
     hidden_set = _kernels_for_dim(cfg, cfg.hidden_dim, kernels)
     layer_kernels.extend(hidden_set for _ in range(cfg.layers - 1))
+    store = _init_store(cfg, feature_dim, num_classes)
+    return HKN(cfg, feature_dim, num_classes, layer_kernels, store)
 
+
+def _param_path(layer: int, k: int, name: str) -> str:
+    return f"layer{layer}.k{k}.{name}"
+
+
+def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamStore:
+    """Freshly initialized parameters in the model's one layout: the
+    layers.PARAM_NAMES leaves of every kernel of every layer, then the
+    head's class reference points."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     store = ad.ParamStore()
     for i in range(cfg.layers):
         in_dim = feature_dim if i == 0 else cfg.hidden_dim
         for k in range(cfg.K):
             p = layers.init_hlinear(rng, in_dim, cfg.hidden_dim)
-            store.add(f"layer{i}.k{k}.weight", p.weight)
-            store.add(f"layer{i}.k{k}.gate_vec", p.gate_vec)
-            store.add(f"layer{i}.k{k}.bias", p.bias)
-            store.add(f"layer{i}.k{k}.gate_bias", np.asarray(p.gate_bias))
-            store.add(f"layer{i}.k{k}.log_scale", np.asarray(p.log_scale))
+            for name, value in zip(layers.PARAM_NAMES, p.values()):
+                store.add(_param_path(i, k, name), value)
     store.add("head.centroids", 0.1 * rng.standard_normal((num_classes, cfg.hidden_dim)))
-    return HKN(cfg, feature_dim, num_classes, layer_kernels, store)
-
-
-def _layer_sublayers(leaves, layer: int, K: int):
-    return [
-        (
-            leaves[f"layer{layer}.k{k}.weight"],
-            leaves[f"layer{layer}.k{k}.gate_vec"],
-            leaves[f"layer{layer}.k{k}.bias"],
-            leaves[f"layer{layer}.k{k}.gate_bias"],
-            leaves[f"layer{layer}.k{k}.log_scale"],
-            "identity",
-        )
-        for k in range(K)
-    ]
+    return store
 
 
 def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, rng=None):
@@ -516,7 +511,10 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             ad.take(x, src),
             dst,
             batch.num_nodes,
-            _layer_sublayers(leaves, i, cfg.K),
+            [
+                tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)
+                for k in range(cfg.K)
+            ],
             model.layer_kernels[i].coords_array(),
             cfg.pooling_weights,
             kappa,
@@ -710,40 +708,101 @@ def write_sweep_csv(rows, path) -> None:
 # checkpoints
 
 
-def save_checkpoint(model: HKN, path, info: dict | None = None) -> None:
-    from dataclasses import asdict
+_CHECKPOINT_FORMAT = "hkn-checkpoint-v1"
+_CHECKPOINT_FIELDS = {
+    "config": dict,
+    "feature_dim": int,
+    "num_classes": int,
+    "kernels": list,
+    "params": dict,
+    "info": dict,
+}
 
+
+def _json_is(value, kind: type) -> bool:
+    """value has the JSON type kind stands for; an integer passes as a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def save_checkpoint(model: HKN, path, info: dict | None = None) -> None:
     record = {
-        "format": "hkn-checkpoint-v1",
+        "format": _CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
         "feature_dim": model.feature_dim,
         "num_classes": model.num_classes,
         "kernels": [kernelgen.kernels_to_dict(ks) for ks in model.layer_kernels],
-        "params": {path_: value.tolist() for path_, value in model.store.items()},
+        "params": model.store.to_dict(),
         "info": info or {},
     }
     Path(path).write_text(json.dumps(record, indent=1))
 
 
 def load_checkpoint(path) -> tuple:
-    """Rebuild a model from a checkpoint; returns (model, info)."""
+    """Rebuild a model from a checkpoint; returns (model, info).
+
+    The record must hold every field with its JSON type, exactly the
+    HKNConfig keys, one kernel set per layer with the config's K, curvature
+    and the layer's input dimension, and exactly the parameter paths and
+    shapes build_hkn lays out for that config, with finite values. Anything
+    else raises DataFormatError naming the field.
+    """
     try:
         record = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    if record.get("format") != "hkn-checkpoint-v1":
+    if not isinstance(record, dict):
+        raise DataFormatError("checkpoint must be a JSON object")
+    if record.get("format") != _CHECKPOINT_FORMAT:
         raise DataFormatError("unrecognized checkpoint format")
-    cfg = HKNConfig(**record["config"])
-    layer_kernels = [kernelgen.kernels_from_dict(d) for d in record["kernels"]]
-    if len(layer_kernels) != cfg.layers:
-        raise DataFormatError("checkpoint kernel count disagrees with config")
-    model = HKN(
-        cfg,
-        int(record["feature_dim"]),
-        int(record["num_classes"]),
-        layer_kernels,
-        ad.ParamStore(),
-    )
-    for path_, value in record["params"].items():
-        model.store.add(path_, np.asarray(value, dtype=np.float64))
-    return model, record["info"]
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        if key not in record:
+            raise DataFormatError(f"checkpoint missing field {key!r}")
+        if not _json_is(record[key], kind):
+            raise DataFormatError(f"checkpoint field {key!r} must be a JSON {kind.__name__}")
+
+    config = record["config"]
+    known = {f.name for f in fields(HKNConfig)}
+    for name in config:
+        if name not in known:
+            raise DataFormatError(f"checkpoint field 'config' has unknown key {name!r}")
+    for f in fields(HKNConfig):
+        if f.name not in config:
+            raise DataFormatError(f"checkpoint field 'config' is missing key {f.name!r}")
+        if not _json_is(config[f.name], type(f.default)):
+            raise DataFormatError(f"checkpoint field 'config.{f.name}' has the wrong type")
+    try:
+        cfg = HKNConfig(**config)
+    except ParameterError as exc:
+        raise DataFormatError(f"checkpoint field 'config': {exc}") from exc
+
+    feature_dim, num_classes = record["feature_dim"], record["num_classes"]
+    if feature_dim < 1 or num_classes < 2:
+        raise DataFormatError("checkpoint needs feature_dim >= 1 and num_classes >= 2")
+    if len(record["kernels"]) != cfg.layers:
+        raise DataFormatError(f"checkpoint field 'kernels' must hold {cfg.layers} kernel sets")
+    layer_kernels = []
+    for i, entry in enumerate(record["kernels"]):
+        try:
+            ks = kernelgen.kernels_from_dict(entry)
+        except DataFormatError as exc:
+            raise DataFormatError(f"checkpoint field 'kernels' entry {i}: {exc}") from exc
+        dim = feature_dim if i == 0 else cfg.hidden_dim
+        if (ks.K, ks.cfg.dim, ks.cfg.curvature) != (cfg.K, dim, cfg.curvature):
+            raise DataFormatError(
+                f"checkpoint field 'kernels' entry {i} has K={ks.K}, dim={ks.cfg.dim}, "
+                f"curvature={ks.cfg.curvature}; layer {i} needs K={cfg.K}, dim={dim}, "
+                f"curvature={cfg.curvature}"
+            )
+        layer_kernels.append(ks)
+
+    store = _init_store(cfg, feature_dim, num_classes)
+    try:
+        store.load_dict(record["params"])
+    except (BuildError, DimensionError) as exc:
+        raise DataFormatError(f"checkpoint field 'params': {exc}") from exc
+    for name, value in store.items():
+        if not np.all(np.isfinite(value)):
+            raise DataFormatError(f"checkpoint field 'params': parameter {name!r} is not finite")
+    return HKN(cfg, feature_dim, num_classes, layer_kernels, store), record["info"]

@@ -7,7 +7,8 @@ name / trials / max_error / passed:
   exponential and logarithmic maps, transport isometry, and agreement of
   the distance function with the recentering operator.
 * layers: manifold closure of every layer output, aggregation-weight
-  scale invariance, distance-readout consistency, attention row sums.
+  scale invariance, distance-readout consistency, attention weights
+  summing to one over each neighborhood.
 * theorem1: convolution output is unchanged when the root and its whole
   neighborhood are translated along the root's geodesic from the origin.
 * prop1: relabeling nodes permutes node-wise convolution outputs and
@@ -208,10 +209,12 @@ def run_layers(trials: int, seed: int = 0) -> list:
 
     worst = 0.0
     for _ in range(trials):
-        qs = [manifold.random_point(rng, cfg) for _ in range(int(rng.integers(1, 5)))]
-        ks = [manifold.random_point(rng, cfg) for _ in range(int(rng.integers(1, 5)))]
-        w = layers.attention_weights(qs, ks, cfg.dim)
-        err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+        segments = np.repeat(np.arange(sizes.size), sizes)
+        roots = np.stack([manifold.random_point(rng, cfg).coords for _ in sizes])
+        nbrs = np.stack([manifold.random_point(rng, cfg).coords for _ in segments])
+        w = layers.attention_weights(roots[segments], nbrs, segments, sizes.size, cfg.curvature)
+        err = float(np.max(np.abs(np.bincount(segments, weights=w) - 1.0)))
         if np.any(w < 0):
             err = max(err, float(np.max(-w)))
         worst = max(worst, err)

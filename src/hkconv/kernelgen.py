@@ -395,7 +395,7 @@ def save_kernels(kernels: KernelSet, path) -> None:
 def kernels_from_dict(data: dict) -> KernelSet:
     try:
         cfg = manifold.ManifoldConfig(dim=int(data["dim"]), curvature=float(data["curvature"]))
-        raw_points = data["points"]
+        raw_points = list(data["points"])
         declared_K = int(data["K"])
         provenance = str(data["provenance"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -404,7 +404,7 @@ def kernels_from_dict(data: dict) -> KernelSet:
         raise DataFormatError(f"K={declared_K} but {len(raw_points)} points present")
     try:
         points = tuple(manifold.LorentzPoint(np.asarray(row, dtype=np.float64), cfg) for row in raw_points)
-    except (DimensionError, ValueError) as exc:
+    except (DimensionError, TypeError, ValueError) as exc:
         raise DataFormatError(f"kernel point fails validation: {exc}") from exc
     if provenance not in PROVENANCES:
         provenance = "loaded"

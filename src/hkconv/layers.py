@@ -12,17 +12,17 @@ The building blocks:
   combined with kernel-proximity weights, then pooled over the neighborhood
   either uniformly or with distance-based attention.
 
-Each operation exists in two forms: a typed single-point form working on
-LorentzPoint values (validating, convenient for tests and small scripts)
-and a batched core working on coordinate rows (plain ndarrays or autodiff
-tensors), which the graph networks drive directly. Sums over neighbors run
-in a value-sorted order, so results do not depend on how the input happened
-to be labeled.
+Each operation has one implementation, a batched core working on
+coordinate rows (plain ndarrays or autodiff tensors), which the graph
+networks drive directly. The typed functions (hlinear, hcent, hcdist,
+hkconv) validate LorentzPoint inputs and run the same core on one point or
+one neighborhood. Sums over neighbors run in a value-sorted order, so
+results do not depend on how the input happened to be labeled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,21 +35,10 @@ from .errors import (
 )
 from .kernelgen import KernelSet
 
-ACTIVATIONS = ("identity", "relu", "tanh")
 POOLINGS = ("uniform", "attention")
 
 # norm of the pre-normalization vector below which the gated map is undefined
 _DEGENERATE_NORM = 1e-12
-
-
-def _apply_activation(name: str, x):
-    if name == "identity":
-        return x
-    if name == "relu":
-        return ad.relu(x)
-    if name == "tanh":
-        return ad.tanh(x)
-    raise ParameterError(f"unknown activation {name!r}")
 
 
 def _as_column(w):
@@ -65,7 +54,9 @@ class HLinearParams:
     bias       (out_dim,)
     gate_bias  scalar offset of the gate
     log_scale  log of the positive gate amplitude
-    activation elementwise map applied to the input coordinates first
+
+    The fields, in this order, are the per-kernel parameter layout
+    (PARAM_NAMES).
     """
 
     weight: np.ndarray
@@ -73,7 +64,6 @@ class HLinearParams:
     bias: np.ndarray
     gate_bias: float = 0.0
     log_scale: float = 0.0
-    activation: str = "identity"
 
     def __post_init__(self):
         weight = np.asarray(self.weight, dtype=np.float64)
@@ -92,8 +82,6 @@ class HLinearParams:
             raise DimensionError("bias length must match weight rows")
         if not np.any(weight):
             raise ParameterError("weight must not be all zero")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -103,10 +91,17 @@ class HLinearParams:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
+    def values(self) -> tuple:
+        """The fields in PARAM_NAMES order, as _edge_points takes them."""
+        return tuple(getattr(self, name) for name in PARAM_NAMES)
 
-def init_hlinear(
-    rng: np.random.Generator, in_dim: int, out_dim: int, activation: str = "identity"
-) -> HLinearParams:
+
+# per-kernel parameter layout: the order of the tuples hkconv_core takes and
+# the leaf names layer{i}.k{k}.<name> of an HKN parameter store
+PARAM_NAMES = tuple(f.name for f in fields(HLinearParams))
+
+
+def init_hlinear(rng: np.random.Generator, in_dim: int, out_dim: int) -> HLinearParams:
     """Uniform weight in +-(in_dim+1)^-0.5, zero biases, unit gate amplitude."""
     width = in_dim + 1
     bound = width**-0.5
@@ -119,7 +114,6 @@ def init_hlinear(
         bias=np.zeros(out_dim),
         gate_bias=0.0,
         log_scale=0.0,
-        activation=activation,
     )
 
 
@@ -130,7 +124,6 @@ def hlinear_core(
     bias,
     gate_bias,
     log_scale,
-    activation: str,
     kappa: float,
     drop_mask=None,
 ):
@@ -139,13 +132,12 @@ def hlinear_core(
     x may be (in_dim+1,) or (..., in_dim+1); parameters may be ndarrays or
     autodiff tensors. drop_mask, when given, multiplies the
     pre-normalization vector (inverted-dropout masks come pre-scaled).
-    After the activation the map is one tape op; its backward rule uses
-    the pre-normalization vector u, its norm and the gate kept by the
-    forward.
+    The map is one tape op; its backward rule uses the pre-normalization
+    vector u, its norm and the gate kept by the forward.
     """
 
-    def forward(x, tx, weight, gate_vec, bias, gate_bias, log_scale):
-        u = tx @ weight.T + bias
+    def forward(x, weight, gate_vec, bias, gate_bias, log_scale):
+        u = x @ weight.T + bias
         if drop_mask is not None:
             u = u * drop_mask
         norm_sq = np.sum(u * u, axis=-1, keepdims=True)
@@ -158,10 +150,10 @@ def hlinear_core(
         gate = np.exp(log_scale) * sig
         norm = np.sqrt(norm_sq)
         out = lmath._lifted(gate / norm * u, kappa)
-        return out, (out, x, tx, weight, gate_vec, u, norm, gate, sig)
+        return out, (out, x, weight, gate_vec, u, norm, gate, sig)
 
     def backward(g, saved, needs):
-        out, x, tx, weight, gate_vec, u, norm, gate, sig = saved
+        out, x, weight, gate_vec, u, norm, gate, sig = saved
         g_time, g_spatial = g[..., :1], g[..., 1:]
         # spatial = gate * u / |u| has norm gate, so the time coordinate
         # depends on the gate alone and u receives only the spatial adjoint
@@ -171,23 +163,21 @@ def hlinear_core(
             g_u = g_u * drop_mask
         g_gate = along / norm + g_time * (gate / out[..., :1])
         g_logit = g_gate * gate * (1.0 - sig)
-        need_x, need_tx, need_w, need_gv, need_b, need_gb, need_ls = needs
+        need_x, need_w, need_gv, need_b, need_gb, need_ls = needs
         rows_u = g_u.reshape(-1, g_u.shape[-1])
         rows_x = x.reshape(-1, x.shape[-1])
         rows_logit = g_logit.reshape(-1)
         return (
-            g_logit * gate_vec if need_x else None,
-            g_u @ weight if need_tx else None,
-            rows_u.T @ tx.reshape(-1, tx.shape[-1]) if need_w else None,
+            g_logit * gate_vec + g_u @ weight if need_x else None,
+            rows_u.T @ rows_x if need_w else None,
             (rows_logit @ rows_x).reshape(gate_vec.shape) if need_gv else None,
             (np.ones(len(rows_u)) @ rows_u).reshape(bias.shape) if need_b else None,
             ad._unbroadcast(g_logit, np.shape(gate_bias)) if need_gb else None,
             ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
         )
 
-    tx = _apply_activation(activation, x)
     return ad._lift_joint(
-        "hlinear", (x, tx, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
+        "hlinear", (x, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
     )
 
 
@@ -204,16 +194,7 @@ def hlinear(x: manifold.LorentzPoint, p: HLinearParams) -> manifold.LorentzPoint
     """Typed single-point gated linear transform."""
     if x.cfg.dim != p.in_dim:
         raise DimensionError(f"point dim {x.cfg.dim} != layer in_dim {p.in_dim}")
-    out = hlinear_core(
-        x.coords[None, :],
-        p.weight,
-        p.gate_vec,
-        p.bias,
-        p.gate_bias,
-        p.log_scale,
-        p.activation,
-        x.cfg.curvature,
-    )
+    out = hlinear_core(x.coords[None, :], *p.values(), x.cfg.curvature)
     return manifold.LorentzPoint(np.asarray(out)[0], _derived_cfg(x.cfg, p.out_dim))
 
 
@@ -294,42 +275,12 @@ def hcent(points, nu: WeightVector) -> manifold.LorentzPoint:
     return manifold.LorentzPoint(np.asarray(out), cfg)
 
 
-def hcdist_core(x, centroids, kappa: float):
-    """Distances from rows of x (..., dim+1) to ell centroid rows -> (..., ell)."""
-    return lmath.cross_dist(x, centroids, kappa)
-
-
 def hcdist(x: manifold.LorentzPoint, bank: CentroidBank) -> np.ndarray:
     """Typed distance readout: distances from x to every centroid."""
     if x.cfg.dim != bank.cfg.dim:
         raise DimensionError(f"point dim {x.cfg.dim} != centroid dim {bank.cfg.dim}")
-    out = hcdist_core(x.coords[None, :], bank.coords_array(), x.cfg.curvature)
+    out = lmath.cross_dist(x.coords[None, :], bank.coords_array(), x.cfg.curvature)
     return np.asarray(out)[0]
-
-
-def attention_weights(queries, keys, n: int) -> np.ndarray:
-    """Distance-based attention: softmax_j of -d(q_i, k_j)^2 / sqrt(n).
-
-    The row maximum is subtracted before exponentiation; n is the spatial
-    dimension the points live in.
-    """
-    queries = list(queries)
-    keys = list(keys)
-    if not queries or not keys:
-        raise ParameterError("attention needs at least one query and one key")
-    if n < 1:
-        raise ParameterError("n must be a positive dimension")
-    cfg = queries[0].cfg
-    for p in queries + keys:
-        if p.cfg.dim != cfg.dim or p.cfg.curvature != cfg.curvature:
-            raise DimensionError("attention input config mismatch")
-    q = np.stack([p.coords for p in queries])
-    k = np.stack([p.coords for p in keys])
-    d = np.asarray(lmath.cross_dist(q, k, cfg.curvature))
-    logits = -(d * d) / np.sqrt(float(n))
-    logits = logits - np.max(logits, axis=1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / np.sum(weights, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,19 +329,9 @@ def init_hkconv(
     kernels: KernelSet,
     out_dim: int,
     pooling_weights: str = "uniform",
-    activation: str = "identity",
 ) -> HKConvParams:
-    sublayers = tuple(
-        init_hlinear(rng, kernels.cfg.dim, out_dim, activation) for _ in range(kernels.K)
-    )
+    sublayers = tuple(init_hlinear(rng, kernels.cfg.dim, out_dim) for _ in range(kernels.K))
     return HKConvParams(sublayers, kernels, pooling_weights)
-
-
-def _sublayer_arrays(p: HKConvParams):
-    return [
-        (s.weight, s.gate_vec, s.bias, s.gate_bias, s.log_scale, s.activation)
-        for s in p.sublayers
-    ]
 
 
 def _edge_points(
@@ -412,15 +353,31 @@ def _edge_points(
     feats = lmath.ominus(neighbor_rows, center_rows, kappa)
     aggregate = None
     for k in range(K):
-        weight, gate_vec, bias, gate_bias, log_scale, activation = sublayers[k]
         mask = None if drop_masks is None else drop_masks[k]
-        transformed = hlinear_core(
-            feats, weight, gate_vec, bias, gate_bias, log_scale, activation, kappa, mask
-        )
+        transformed = hlinear_core(feats, *sublayers[k], kappa, mask)
         nu = lmath.dist(feats, kernel_rows[k], kappa)
         term = _as_column(nu) * transformed
         aggregate = term if aggregate is None else aggregate + term
     return lmath.normalize_timelike(aggregate, kappa)
+
+
+def attention_weights(
+    center_rows, neighbor_rows, segments: np.ndarray, num_segments: int, kappa: float
+):
+    """Distance-based attention over flattened neighborhoods -> (E,) weights.
+
+    Edge e scores -d(center_e, neighbor_e)^2 / sqrt(n), n the spatial
+    dimension, and the weights are the softmax of the scores within each
+    segment (its largest score is subtracted before exponentiation), so
+    every segment's weights sum to one.
+    """
+    d = lmath.dist(center_rows, neighbor_rows, kappa)
+    n = ad.value_of(center_rows).shape[-1] - 1
+    logits = -(d * d) / np.sqrt(float(n))
+    shift = ad.segment_max_value(ad.value_of(logits), segments, num_segments)
+    scores = ad.exp(logits - shift[segments])
+    denom = ad.segment_sum(scores, segments, num_segments)
+    return scores / ad.take(denom, segments)
 
 
 def hkconv_core(
@@ -440,8 +397,9 @@ def hkconv_core(
                                   root center_rows[e] with one neighbor
     segments                      (E,) nondecreasing int segment ids in
                                   [0, num_segments); every segment nonempty
-    sublayers                     per-kernel tuples (weight, gate_vec,
-                                  bias, gate_bias, log_scale, activation)
+    sublayers                     per-kernel tuples in PARAM_NAMES order
+                                  (weight, gate_vec, bias, gate_bias,
+                                  log_scale)
     kernel_rows                   (K, in_dim+1) kernel coordinates
     drop_masks                    optional per-kernel dropout masks
 
@@ -451,32 +409,17 @@ def hkconv_core(
     if pooling_weights == "uniform":
         pooled = ad.segment_sum(per_edge, segments, num_segments)
     elif pooling_weights == "attention":
-        d = lmath.dist(center_rows, neighbor_rows, kappa)
-        n = ad.value_of(kernel_rows).shape[1] - 1
-        logits = -(d * d) / np.sqrt(float(n))
-        shift = ad.segment_max_value(ad.value_of(logits), segments, num_segments)
-        scores = ad.exp(logits - shift[segments])
-        denom = ad.segment_sum(scores, segments, num_segments)
-        w = scores / ad.take(denom, segments)
+        w = attention_weights(center_rows, neighbor_rows, segments, num_segments, kappa)
         pooled = ad.segment_sum(_as_column(w) * per_edge, segments, num_segments)
     else:
         raise ParameterError(f"unknown pooling {pooling_weights!r}")
     return lmath.normalize_timelike(pooled, kappa)
 
 
-def hkconv(
-    x: manifold.LorentzPoint,
-    neighbors,
-    p: HKConvParams,
-    attn: WeightVector | None = None,
-) -> manifold.LorentzPoint:
-    """Typed single-neighborhood convolution rooted at x.
-
-    attn supplies explicit pooling weights; it is only accepted (and then
-    required to match the neighbor count) when the layer was built with
-    attention pooling. Without it, attention layers weight neighbors by
-    their distance to the root and uniform layers count them equally.
-    """
+def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:
+    """Typed single-neighborhood convolution rooted at x: hkconv_core on
+    one segment. Attention layers weight neighbors by their distance to
+    the root; uniform layers count them equally."""
     neighbors = list(neighbors)
     if not neighbors:
         raise ParameterError("neighborhood must be nonempty")
@@ -485,33 +428,15 @@ def hkconv(
     for nb in neighbors:
         if nb.cfg.dim != x.cfg.dim or nb.cfg.curvature != x.cfg.curvature:
             raise DimensionError("neighbor config mismatch")
-    if p.pooling_weights == "uniform" and attn is not None:
-        raise ParameterError("explicit weights require attention pooling")
-    if attn is not None and len(attn) != len(neighbors):
-        raise DimensionError(f"{len(attn)} weights for {len(neighbors)} neighbors")
-
-    kappa = x.cfg.curvature
     E = len(neighbors)
-    center_rows = np.tile(x.coords, (E, 1))
-    neighbor_rows = np.stack([nb.coords for nb in neighbors])
-    kernel_rows = p.kernels.coords_array()
-
-    if attn is None:
-        out = np.asarray(
-            hkconv_core(
-                center_rows,
-                neighbor_rows,
-                np.zeros(E, dtype=np.int64),
-                1,
-                _sublayer_arrays(p),
-                kernel_rows,
-                p.pooling_weights,
-                kappa,
-            )
-        )[0]
-    else:
-        per_edge = np.asarray(
-            _edge_points(center_rows, neighbor_rows, _sublayer_arrays(p), kernel_rows, kappa)
-        )
-        out = np.asarray(hcent_core(per_edge, attn.values, kappa))
-    return manifold.LorentzPoint(out, _derived_cfg(x.cfg, p.out_dim))
+    out = hkconv_core(
+        np.tile(x.coords, (E, 1)),
+        np.stack([nb.coords for nb in neighbors]),
+        np.zeros(E, dtype=np.int64),
+        1,
+        [s.values() for s in p.sublayers],
+        p.kernels.coords_array(),
+        p.pooling_weights,
+        x.cfg.curvature,
+    )
+    return manifold.LorentzPoint(np.asarray(out)[0], _derived_cfg(x.cfg, p.out_dim))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hkconv import autodiff as ad
-from hkconv import lmath, manifold
+from hkconv import lmath
 from hkconv.errors import BuildError, DimensionError, NumericError
 
 
@@ -355,11 +355,25 @@ class TestParamStore:
         with pytest.raises(DimensionError):
             store.set_("layer.b", np.zeros(3))
 
+        store.set_("layer.W", np.array([[1.5, -0.0], [np.pi, 1e-300]]))
         clone = ad.ParamStore()
+        clone.add("layer.b", np.ones(2))
+        clone.add("layer.W", np.ones((2, 2)))
         clone.load_dict(store.to_dict())
-        assert clone.paths() == store.paths()
+        assert clone.paths() == ["layer.b", "layer.W"]
         for path, value in store.items():
-            np.testing.assert_array_equal(clone[path], value)
+            np.testing.assert_array_equal(clone[path].view(np.int64), value.view(np.int64))
+
+        # load_dict takes exactly the store's paths with their shapes
+        tree = store.to_dict()
+        with pytest.raises(BuildError, match="'layer.b' is missing"):
+            clone.load_dict({"layer.W": tree["layer.W"]})
+        with pytest.raises(BuildError, match="unknown parameter 'layer.c'"):
+            clone.load_dict({**tree, "layer.c": [0.0]})
+        with pytest.raises(DimensionError, match="'layer.b'"):
+            clone.load_dict({**tree, "layer.b": [0.0, 1.0, 2.0]})
+        with pytest.raises(DimensionError, match="'layer.b' is not a numeric array"):
+            clone.load_dict({**tree, "layer.b": ["a", "b"]})
 
     def test_tensors_are_fresh_leaves(self):
         store = ad.ParamStore()
@@ -407,18 +421,6 @@ class TestOptimizers:
         store.add("p", np.array([2.0]))
         ad.adam_step(store, {"p": np.zeros(1)}, lr=0.1, weight_decay=0.5)
         np.testing.assert_allclose(store["p"], np.array([2.0 - 0.1 * 0.5 * 2.0]))
-
-    def test_rgd_step_follows_the_exponential_map(self, cfg3, rng):
-        x = manifold.random_point(rng, cfg3)
-        v = manifold.random_tangent(rng, x, norm=0.7)
-        moved = ad.rgd_step(x, v, lr=0.2)
-        expected = manifold.exp_map(manifold.TangentVector(x, -0.2 * v.vec))
-        np.testing.assert_array_equal(moved.coords, expected.coords)
-
-    def test_rgd_zero_gradient_is_identity(self, cfg3, rng):
-        x = manifold.random_point(rng, cfg3)
-        zero = manifold.TangentVector(x, np.zeros_like(x.coords))
-        np.testing.assert_array_equal(ad.rgd_step(x, zero, lr=1.0).coords, x.coords)
 
 
 class TestFiniteDiffCheck:

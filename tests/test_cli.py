@@ -75,6 +75,24 @@ class TestKernelGenCommand:
         assert manifest["config"]["solver.lr"] == 1e-4
         assert "timestamp" not in manifest
 
+    def test_lr_flag_is_the_solver_rate(self, tmp_path):
+        flag = tmp_path / "flag"
+        args = ["kernel-gen", "--K", "3", "--dim", "2"]
+        assert main([*args, "--lr", "0.001", "--out", str(flag)]) == 0
+        config = json.loads((flag / "manifest.json").read_text())["config"]
+        assert config["solver.lr"] == 0.001
+        assert config["model.lr"] == 0.01
+        # the flag and the config key run the same solve
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver.lr=0.001\n")
+        keyed = tmp_path / "keyed"
+        assert main([*args, "--config", str(cfg), "--out", str(keyed)]) == 0
+        assert _sha(flag / "kernels.json") == _sha(keyed / "kernels.json")
+        assert _sha(flag / "manifest.json") == _sha(keyed / "manifest.json")
+        default = tmp_path / "default"
+        assert main([*args, "--out", str(default)]) == 0
+        assert _sha(flag / "convergence.csv") != _sha(default / "convergence.csv")
+
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["kernel-gen", "--K", "1", "--dim", "2", "--out", str(tmp_path)]) == 2
         assert main(["kernel-gen", "--K", "2", "--dim", "0", "--out", str(tmp_path)]) == 2
@@ -255,6 +273,76 @@ class TestTrainEvalSweep:
         assert len(err) == 1
         assert err[0].startswith("failure:")
         assert repr(field) in err[0]
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            pytest.param(
+                lambda r: {k: v for k, v in r.items() if k != "config"}, "'config'", id="no-config"
+            ),
+            pytest.param(
+                lambda r: {**r, "config": {**r["config"], "warp": 9}}, "'warp'", id="config-key"
+            ),
+            pytest.param(
+                lambda r: {**r, "config": {**r["config"], "layers": 2.0}},
+                "'config.layers'",
+                id="config-type",
+            ),
+            pytest.param(lambda r: [r], "JSON object", id="json-list"),
+            pytest.param(
+                lambda r: {**r, "kernels": r["kernels"][::-1]}, "'kernels'", id="kernel-dim"
+            ),
+            pytest.param(
+                lambda r: {**r, "kernels": [{**r["kernels"][0], "points": 5}, r["kernels"][1]]},
+                "'kernels'",
+                id="kernel-points",
+            ),
+            pytest.param(
+                lambda r: {
+                    **r,
+                    "params": {k: v for k, v in r["params"].items() if k != "layer1.k0.bias"},
+                },
+                "'layer1.k0.bias'",
+                id="missing-leaf",
+            ),
+            pytest.param(
+                lambda r: {**r, "params": {**r["params"], "layer0.k4.bias": [0.0]}},
+                "'layer0.k4.bias'",
+                id="extra-leaf",
+            ),
+            pytest.param(
+                lambda r: {
+                    **r,
+                    "params": {
+                        **r["params"],
+                        "layer0.k0.weight": r["params"]["layer0.k0.weight"][:-1],
+                    },
+                },
+                "'layer0.k0.weight'",
+                id="misshaped-leaf",
+            ),
+            pytest.param(
+                lambda r: {**r, "params": {**r["params"], "layer1.k2.bias": [None] * 4}},
+                "'layer1.k2.bias'",
+                id="null-leaf",
+            ),
+        ],
+    )
+    def test_malformed_checkpoint_is_one_line_failure(self, tmp_path, capsys, damage, named):
+        cfg = graphnet.HKNConfig(hidden_dim=4, kernel_source="random")
+        model = graphnet.build_hkn(cfg, feature_dim=9, num_classes=2)
+        good = tmp_path / "good.json"
+        graphnet.save_checkpoint(model, good, info={"test_accuracy": 0.5})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(damage(json.loads(good.read_text()))))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure: checkpoint")
+        assert named in err[0]
+        assert main(["eval", "--checkpoint", str(good), "--out", str(tmp_path / "g")]) == 0
 
     def test_features_beyond_embedding_range_are_one_line_failure(self, tmp_path, capsys):
         data = graphnet.synth_trees_vs_random(20, 8, 1)

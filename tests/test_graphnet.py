@@ -9,7 +9,7 @@ import pytest
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
-from hkconv import lmath
+from hkconv import layers, lmath
 from hkconv.errors import (
     BuildError,
     DataFormatError,
@@ -353,6 +353,30 @@ class TestCheckpointsAndCSV:
         assert again.accuracy == stored.accuracy
         assert again.macro_f1 == stored.macro_f1
         assert again.loss == stored.loss
+
+    def test_store_is_the_parameter_layout_and_reloads_bitwise(self, tmp_path, rng):
+        cfg = gn.HKNConfig(layers=3, K=3, hidden_dim=5, kernel_source="random", task="node")
+        model = gn.build_hkn(cfg, feature_dim=4, num_classes=3)
+        layout = {}
+        for i in range(cfg.layers):
+            typed = layers.init_hlinear(rng, 4 if i == 0 else 5, 5)
+            for k in range(cfg.K):
+                for name, value in zip(layers.PARAM_NAMES, typed.values()):
+                    layout[f"layer{i}.k{k}.{name}"] = np.shape(value)
+        layout["head.centroids"] = (3, 5)
+        assert model.store.paths() == list(layout)
+        assert {p: v.shape for p, v in model.store.items()} == layout
+
+        # every leaf gets values across the float range, signed zeros included
+        for path, value in model.store.items():
+            v = rng.standard_normal(value.shape) * 10.0 ** rng.integers(-300, 300, value.shape)
+            model.store.set_(path, np.where(rng.random(value.shape) < 0.1, -0.0, v))
+        path = tmp_path / "checkpoint.json"
+        gn.save_checkpoint(model, path)
+        back, _ = gn.load_checkpoint(path)
+        assert back.store.paths() == list(layout)
+        for p, value in model.store.items():
+            np.testing.assert_array_equal(back.store[p].view(np.int64), value.view(np.int64))
 
     def test_checkpoint_format_guard(self, tmp_path):
         path = tmp_path / "bad.json"

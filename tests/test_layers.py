@@ -22,10 +22,9 @@ def _naive_hlinear(coords, p, kappa):
     return np.concatenate(([time], spatial))
 
 
-def _composite_hlinear(x, weight, gate_vec, bias, gate_bias, log_scale, activation, kappa, mask):
+def _composite_hlinear(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, mask):
     # the gated transform as the chain of autodiff primitives it fuses
-    tx = layers._apply_activation(activation, x)
-    u = ad.matmul(tx, ad.transpose(weight)) + bias
+    u = ad.matmul(x, ad.transpose(weight)) + bias
     if mask is not None:
         u = u * mask
     norm_sq = ad.sum(u * u, axis=-1, keepdims=True)
@@ -58,7 +57,6 @@ class TestHLinear:
                 bias=rng.standard_normal(out_dim),
                 gate_bias=0.3,
                 log_scale=-0.2,
-                activation="identity",
             )
             x = manifold.random_point(rng, cfg3)
             got = layers.hlinear(x, p)
@@ -67,7 +65,7 @@ class TestHLinear:
 
     def test_output_is_on_manifold(self, cfg3, rng):
         for _ in range(20):
-            p = layers.init_hlinear(rng, 3, 4, activation="relu")
+            p = layers.init_hlinear(rng, 3, 4)
             y = layers.hlinear(manifold.random_point(rng, cfg3), p)
             inner = lmath.inner(y.coords, y.coords)
             assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
@@ -106,7 +104,6 @@ class TestHLinear:
                 leaves["bias"],
                 0.0,
                 0.0,
-                "identity",
                 cfg3.curvature,
             )
             d = lmath.dist(out, lmath.origin_row(4, cfg3.curvature), cfg3.curvature)
@@ -115,10 +112,8 @@ class TestHLinear:
         report = ad.finite_diff_check(loss, store)
         assert max(report.values()) <= 1e-5
 
-
-    @pytest.mark.parametrize("activation", layers.ACTIVATIONS)
     @pytest.mark.parametrize("masked", (False, True))
-    def test_fused_op_matches_composite(self, rng, activation, masked):
+    def test_fused_op_matches_composite(self, rng, masked):
         # forward bit for bit, every adjoint to 1e-12 of the oracle's largest
         kappa = -0.7
         x = lmath.embed(0.7 * rng.standard_normal((25, 3)), kappa)
@@ -134,7 +129,7 @@ class TestHLinear:
         names = list(args)
 
         def run(fn, values):
-            return fn(*[values[n] for n in names], activation, kappa, mask)
+            return fn(*[values[n] for n in names], kappa, mask)
 
         fused = run(layers.hlinear_core, args)
         np.testing.assert_array_equal(
@@ -158,7 +153,7 @@ class TestHLinear:
         p = layers.init_hlinear(rng, 3, 4)
         x = ad.Tensor(lmath.embed(rng.standard_normal((6, 3)), -1.0))
         leaves = [ad.Tensor(a) for a in (p.weight, p.gate_vec, p.bias)]
-        out = layers.hlinear_core(x, *leaves, 0.0, 0.0, "identity", -1.0)
+        out = layers.hlinear_core(x, *leaves, 0.0, 0.0, -1.0)
         assert out.op == "hlinear"
         assert all(parent.op == "leaf" for parent in out.parents)
 
@@ -225,21 +220,45 @@ class TestHCDist:
             layers.hcdist(manifold.random_point(rng, cfg3), bank)
 
 
+def _typed_attention(root, nbrs):
+    # oracle: the softmax of -d^2 / sqrt(n) over one neighborhood, from
+    # the validated scalar distance
+    d = np.array([manifold.distance(root, nb) for nb in nbrs])
+    logits = -(d**2) / np.sqrt(float(root.cfg.dim))
+    w = np.exp(logits - logits.max())
+    return w / w.sum()
+
+
 class TestAttentionWeights:
+    def _neighborhoods(self, rng, cfg, sizes):
+        roots = [manifold.random_point(rng, cfg) for _ in sizes]
+        nbrs = [[manifold.random_point(rng, cfg) for _ in range(n)] for n in sizes]
+        segments = np.repeat(np.arange(len(sizes)), sizes)
+        centers = np.stack([roots[s].coords for s in segments])
+        flat = np.stack([nb.coords for group in nbrs for nb in group])
+        return roots, nbrs, segments, centers, flat
+
     def test_rows_are_softmax_of_negative_squared_distance(self, cfg3, rng):
-        q = [manifold.random_point(rng, cfg3) for _ in range(3)]
-        k = [manifold.random_point(rng, cfg3) for _ in range(5)]
-        w = layers.attention_weights(q, k, 3)
-        assert w.shape == (3, 5)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-12)
+        sizes = (4, 1, 6, 2)
+        roots, nbrs, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
+        w = layers.attention_weights(centers, flat, segments, len(sizes), cfg3.curvature)
+        assert w.shape == (sum(sizes),)
         assert np.all(w >= 0)
-        d = np.array(
-            [[manifold.distance(qi, kj) for kj in k] for qi in q], dtype=np.float64
-        )
-        logits = -(d**2) / np.sqrt(3.0)
-        want = np.exp(logits - logits.max(axis=1, keepdims=True))
-        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(np.bincount(segments, weights=w), 1.0, rtol=1e-12)
+        want = np.concatenate([_typed_attention(r, group) for r, group in zip(roots, nbrs)])
         np.testing.assert_allclose(w, want, rtol=1e-10, atol=1e-12)
+        assert w[segments == 1][0] == 1.0  # a lone neighbor takes all the weight
+
+    def test_edge_relabeling_permutes_weights_bitwise(self, cfg3, rng):
+        sizes = (3, 1, 5)
+        _, _, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
+        base = layers.attention_weights(centers, flat, segments, len(sizes), cfg3.curvature)
+        for _ in range(4):
+            perm = rng.permutation(segments.size)
+            out = layers.attention_weights(
+                centers[perm], flat[perm], segments[perm], len(sizes), cfg3.curvature
+            )
+            np.testing.assert_array_equal(out.view(np.int64), base[perm].view(np.int64))
 
 
 class TestHKConv:
@@ -319,26 +338,12 @@ class TestHKConv:
         want = layers.hcent(responses, layers.WeightVector(weights))
         np.testing.assert_allclose(got.coords, want.coords, rtol=1e-7, atol=1e-8)
 
-    def test_explicit_attention_weights_match_centroid(self, cfg3, rng):
-        p = self._params(rng, cfg3, pooling_weights="attention")
-        x = manifold.random_point(rng, cfg3)
-        nbrs = [manifold.random_point(rng, cfg3) for _ in range(4)]
-        w = layers.WeightVector(rng.uniform(0.2, 1.0, size=4))
-        out = layers.hkconv(x, nbrs, p, attn=w)
-        inner = lmath.inner(out.coords, out.coords)
-        assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
-
     def test_validation(self, cfg3, rng):
         p = self._params(rng, cfg3)
         x = manifold.random_point(rng, cfg3)
         nbrs = [manifold.random_point(rng, cfg3) for _ in range(3)]
         with pytest.raises(ParameterError):
             layers.hkconv(x, [], p)
-        with pytest.raises(ParameterError):
-            layers.hkconv(x, nbrs, p, attn=layers.WeightVector(np.ones(3)))
-        attn_p = self._params(rng, cfg3, pooling_weights="attention")
-        with pytest.raises(DimensionError):
-            layers.hkconv(x, nbrs, attn_p, attn=layers.WeightVector(np.ones(5)))
         with pytest.raises(ParameterError):
             layers.HKConvParams(p.sublayers, p.kernels, pooling_weights="sideways")
         with pytest.raises(DimensionError):
@@ -369,7 +374,7 @@ class TestHKConv:
 
             def loss(leaves, pooling=pooling):
                 subs = tuple(
-                    (leaves[f"w{k}"], leaves[f"g{k}"], leaves[f"b{k}"], 0.0, 0.0, "identity")
+                    (leaves[f"w{k}"], leaves[f"g{k}"], leaves[f"b{k}"], 0.0, 0.0)
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
