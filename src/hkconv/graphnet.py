@@ -717,6 +717,11 @@ _CHECKPOINT_FIELDS = {
     "params": dict,
     "info": dict,
 }
+# the info fields hkconv eval reads, each checked where present
+_CHECKPOINT_INFO_FIELDS = {
+    "info": {"test_accuracy": float, "data": dict},
+    "info.data": {"source": str, "n_graphs": int, "nodes_per_graph": int, "seed": int},
+}
 
 
 def _json_is(value, kind: type) -> bool:
@@ -745,8 +750,10 @@ def load_checkpoint(path) -> tuple:
     The record must hold every field with its JSON type, exactly the
     HKNConfig keys, one kernel set per layer with the config's K, curvature
     and the layer's input dimension, and exactly the parameter paths and
-    shapes build_hkn lays out for that config, with finite values. Anything
-    else raises DataFormatError naming the field.
+    shapes build_hkn lays out for that config, with finite values. The info
+    fields eval reads (test_accuracy and the data block) must have their
+    JSON types where present. Anything else raises DataFormatError naming
+    the field.
     """
     try:
         record = json.loads(Path(path).read_text())
@@ -761,6 +768,13 @@ def load_checkpoint(path) -> tuple:
             raise DataFormatError(f"checkpoint missing field {key!r}")
         if not _json_is(record[key], kind):
             raise DataFormatError(f"checkpoint field {key!r} must be a JSON {kind.__name__}")
+    for block, spec in _CHECKPOINT_INFO_FIELDS.items():
+        entries = record["info"] if block == "info" else record["info"].get("data", {})
+        for key, kind in spec.items():
+            if key in entries and not _json_is(entries[key], kind):
+                raise DataFormatError(
+                    f"checkpoint field '{block}.{key}' must be a JSON {kind.__name__}"
+                )
 
     config = record["config"]
     known = {f.name for f in fields(HKNConfig)}

@@ -14,8 +14,8 @@ name / trials / max_error / passed:
 * prop1: relabeling nodes permutes node-wise convolution outputs and
   end-to-end node-task logits bit for bit.
 
-corrupted_parallel_transport() deliberately breaks the transport step so
-CI can confirm the theorem1 suite actually has teeth.
+corrupted_recentering() deliberately breaks the recentering step so CI
+can confirm the theorem1 suite actually has teeth.
 """
 
 from __future__ import annotations
@@ -336,32 +336,30 @@ def run_prop1(trials: int, seed: int = 0) -> list:
 
 
 @contextlib.contextmanager
-def corrupted_parallel_transport():
-    """Deliberately damage the transport step (self-test hook).
+def corrupted_recentering():
+    """Deliberately damage the recentering step (self-test hook).
 
-    The replacement adds a drift proportional to the source point's time
-    coordinate before re-projecting. A constant drift would cancel between
-    the compared paths (both end at the origin tangent space), so the
-    damage must depend on where the transport starts; outputs remain valid
-    tangent vectors at the destination and the theorem1 suite must catch
-    the broken composition law.
+    The replacement adds a drift proportional to the root's time coordinate
+    to the spatial part of lmath.ominus and lifts the result back onto the
+    manifold. A constant drift would be the same map for the original and
+    the translated neighborhood, so the damage must depend on where the
+    root sits; outputs remain valid points and the theorem1 suite must
+    catch the broken invariance.
     """
-    original = lmath.parallel_transport
+    original = lmath.ominus
 
-    def damaged(x, y, v, kappa):
-        moved = original(x, y, v, kappa)
+    def damaged(u, x, kappa):
+        moved = original(u, x, kappa)
         x_val = np.atleast_2d(ad.value_of(x))
-        drift = np.zeros(ad.value_of(moved).shape[-1])
+        drift = np.zeros(ad.value_of(moved).shape[-1] - 1)
         drift[-1] = 0.05 * float(np.max(x_val[:, 0]))
-        out = moved + drift
-        correction = lmath.inner(y, out)
-        return out - kappa * ad.reshape(correction, ad.value_of(correction).shape + (1,)) * y
+        return lmath.from_spatial(moved[..., 1:] + drift, kappa)
 
-    lmath.parallel_transport = damaged
+    lmath.ominus = damaged
     try:
         yield
     finally:
-        lmath.parallel_transport = original
+        lmath.ominus = original
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0, mutate: str | None = None) -> list:
@@ -377,7 +375,7 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0, mutate: str | None =
         "prop1": lambda t, s=0: run_prop1(min(t, 20), s),
     }
     names = SUITES if suite == "all" else (suite,)
-    with corrupted_parallel_transport() if mutate == "pt" else contextlib.nullcontext():
+    with corrupted_recentering() if mutate == "pt" else contextlib.nullcontext():
         records = []
         for name in names:
             records.extend(runners[name](trials, seed))

@@ -344,8 +344,9 @@ def _edge_points(
 ):
     """Per-edge kernel aggregation -> (E, out_dim+1) points on the manifold.
 
-    Each neighbor is recentered at its root and compared against the
-    kernels where they live, around the origin.
+    Each neighbor is recentered at its root by the boost that carries the
+    root to the origin (lmath.ominus, one tape node for all edges) and
+    compared against the kernels where they live, around the origin.
     """
     K = ad.value_of(kernel_rows).shape[0]
     if len(sublayers) != K:

@@ -6,6 +6,11 @@ Tensors interchangeably. Branches around the 0/0 limits of the maps are
 expressed through even functions of the squared tangent norm, so both
 the values and the adjoints stay finite at coincident points.
 
+The recentering ``ominus`` that the conv layers apply to every edge is
+one closed-form Lorentz boost, not the exp(PT(log)) chain of the typed
+``manifold`` maps: it agrees with that chain to rounding and keeps
+distances exact where the chain's acosh/sinh round trip does not.
+
 Raw arrays carry no validation; the typed wrappers in ``manifold`` and
 ``layers`` own that. Points produced here satisfy the constraint
 analytically and the time component is recomputed where cheap to keep
@@ -24,7 +29,6 @@ from .manifold import PHI_MIN
 
 # squared-norm switch point for the series forms of cosh/sinhc
 _PHI2_MIN = PHI_MIN * PHI_MIN
-_LOG_SERIES_H = 1e-6
 
 # Largest radius sqrt(-kappa) * |z| that embed lifts with a constraint
 # residual |kappa <x,x>_L - 1| of at most EMBED_RESIDUAL_TOL. The residual
@@ -170,38 +174,42 @@ def exp(x, v, kappa: float):
     return time_normalized(out, kappa)
 
 
-def log(x, u, kappa: float):
-    """Row-wise logarithmic map; zero rows where u coincides with x."""
-    psi = ad.clamp_min(kappa * inner(x, u), 1.0)
-    h = psi - 1.0
-    small = ad.value_of(h) < _LOG_SERIES_H
-    safe = ad.clamp_min(psi * psi - 1.0, _LOG_SERIES_H * _LOG_SERIES_H)
-    factor = ad.where(small, 1.0 - h / 3.0, ad.arccosh(psi) / ad.sqrt(safe))
-    psi_col = ad.reshape(psi, ad.value_of(psi).shape + (1,))
-    w = u - psi_col * x
-    w = w - kappa * ad.reshape(inner(x, w), ad.value_of(w).shape[:-1] + (1,)) * x
-    return ad.reshape(factor, ad.value_of(factor).shape + (1,)) * w
-
-
-def parallel_transport(x, y, v, kappa: float):
-    """Row-wise tangent transport from x to y along connecting geodesics."""
-    denom = -1.0 / kappa - inner(x, y)
-    coef = inner(y, v) / denom
-    out = v + ad.reshape(coef, ad.value_of(coef).shape + (1,)) * (x + y)
-    correction = inner(y, out)
-    out = out - kappa * ad.reshape(correction, ad.value_of(correction).shape + (1,)) * y
-    return out
-
-
-def translate(x, y, u, kappa: float):
-    """Row-wise point translation exp_y(PT_{x->y}(log_x(u)))."""
-    return exp(y, parallel_transport(x, y, log(x, u, kappa), kappa), kappa)
-
-
 def ominus(u, x, kappa: float):
-    """Relative position u (-) x: translate u along the geodesic x -> origin."""
-    dim = ad.value_of(u).shape[-1] - 1
-    return translate(x, origin_row(dim, kappa), u, kappa)
+    """Relative position u (-) x: the boost that carries x to the origin,
+    applied to u.
+
+    This is exp_o(PT_{x->o}(log_x(u))), the isometry that moves x to the
+    origin along their geodesic, in closed form. With s = sqrt(-kappa) and
+    a = <x_s, u_s> the spatial dot product, it adds c * x_s to u_s,
+    c = -kappa a / (1 + s x_t) - s u_t, and solves the time component from
+    the result. One tape node. Without the chain's acosh/sinh round trip,
+    d(o, u (-) x) = d(u, x) holds to rounding across the embedding range.
+    """
+    s = math.sqrt(-kappa)
+
+    def forward(u, x):
+        a = np.sum(x[..., 1:] * u[..., 1:], axis=-1, keepdims=True)
+        shift = 1.0 + s * x[..., :1]
+        c = (-kappa) * a / shift - s * u[..., :1]
+        out = _lifted(u[..., 1:] + c * x[..., 1:], kappa)
+        return out, (u, x, a, shift, c, out)
+
+    def backward(g, saved, needs):
+        u, x, a, shift, c, out = saved
+        g_spatial = _lifted_vjp(g, out, out[..., 1:])
+        g_c = np.sum(g_spatial * x[..., 1:], axis=-1, keepdims=True)
+        g_a = (-kappa) * g_c / shift
+        gu = gx = None
+        if needs[0]:
+            gu = np.concatenate([-s * g_c, g_spatial + g_a * x[..., 1:]], axis=-1)
+            gu = ad._unbroadcast(gu, u.shape)
+        if needs[1]:
+            g_time = (kappa * s) * g_c * a / (shift * shift)
+            gx = np.concatenate([g_time, c * g_spatial + g_a * u[..., 1:]], axis=-1)
+            gx = ad._unbroadcast(gx, x.shape)
+        return gu, gx
+
+    return ad._lift_joint("ominus", (u, x), forward, backward)
 
 
 def embed(z, kappa: float):

@@ -326,6 +326,17 @@ class TestTrainEvalSweep:
                 "'layer1.k2.bias'",
                 id="null-leaf",
             ),
+            pytest.param(lambda r: {**r, "info": {"data": 5}}, "'info.data'", id="info-data"),
+            pytest.param(
+                lambda r: {**r, "info": {"data": {"n_graphs": "many"}}},
+                "'info.data.n_graphs'",
+                id="info-data-field",
+            ),
+            pytest.param(
+                lambda r: {**r, "info": {"test_accuracy": "high"}},
+                "'info.test_accuracy'",
+                id="info-accuracy",
+            ),
         ],
     )
     def test_malformed_checkpoint_is_one_line_failure(self, tmp_path, capsys, damage, named):

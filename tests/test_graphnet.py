@@ -239,7 +239,7 @@ class TestModelAssembly:
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
 
-    @pytest.mark.parametrize("pooling, ops", (("uniform", 126), ("attention", 138)))
+    @pytest.mark.parametrize("pooling, ops", (("uniform", 71), ("attention", 83)))
     def test_gradient_tape_op_budget(self, pooling, ops):
         # each Lorentz map and each gated transform is one tape node; this
         # count is exact, so a change that re-inflates the tape shows here
