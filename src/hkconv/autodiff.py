@@ -604,6 +604,11 @@ class Tape:
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
                 contribution = vjp(g)
+                if contribution.shape != parent.value.shape:
+                    raise BuildError(
+                        f"VJP of {node.op!r} gave an adjoint of shape {contribution.shape} "
+                        f"for an input of shape {parent.value.shape}"
+                    )
                 key = id(parent)
                 if key not in grads:
                     grads[key] = contribution
@@ -725,6 +730,10 @@ def finite_diff_check(
     rng = np.random.default_rng(seed)
     report: dict[str, float] = {}
     for path, base in values.items():
+        if analytic[path].shape != base.shape:
+            raise BuildError(
+                f"gradient of {path!r} has shape {analytic[path].shape}, the leaf {base.shape}"
+            )
         worst = 0.0
         for _ in range(dirs):
             direction = rng.standard_normal(base.shape)

@@ -2,18 +2,21 @@
 
 Subcommands: kernel-gen, invariants, appendix-a, train, eval, sweep.
 Behavior is driven by flags layered over an optional flat key=value config
-file (dotted section keys, e.g. ``model.K=4``); flags override file values
-and unknown keys are rejected. Exit codes: 0 success, 1 runtime failure,
-2 usage error; the invariants subcommand exits with the number of failed
-properties (capped at 125).
+file. A config key is <section>.<field> of one config dataclass in
+_SECTIONS (e.g. ``model.K=4``) and takes that field's type and default;
+a flag's argparse dest is its key. Each subcommand names the sections or
+keys it reads; flags override file values, and any other key is a usage
+error. Exit codes: 0 success, 1 runtime failure, 2 usage error; the
+invariants subcommand exits with the number of failed properties (capped
+at 125).
 
 Artifacts land under --out (default: env HKCONV_OUT, else the working
 directory) with fixed names: kernels.json, convergence.csv,
 kernels_poincare.csv, kernel_geodesics_poincare.csv, metrics.csv,
 checkpoint.json, sweep.csv, gradient_decay.csv, report.json,
-manifest.json. Every run writes a manifest with the seed, every resolved
-option, the kernel-file hash and the code version, enough to reproduce
-the run bit for bit.
+manifest.json. kernel-gen, appendix-a, train and sweep write a manifest
+with the seed, every config key the run read, the kernel-file hash and the
+code version, enough to reproduce the run bit for bit.
 """
 
 from __future__ import annotations
@@ -31,70 +34,11 @@ import numpy as np
 from . import __version__, graphnet, invariants, kernelgen, manifold
 from .errors import HkconvError, ParameterError
 
-_CONFIG_KEYS = {
-    "model.layers": int,
-    "model.K": int,
-    "model.hidden_dim": int,
-    "model.curvature": float,
-    "model.dropout": float,
-    "model.lr": float,
-    "model.weight_decay": float,
-    "model.pooling_weights": str,
-    "model.kernel_source": str,
-    "model.task": str,
-    "model.seed": int,
-    "train.max_epochs": int,
-    "train.patience": int,
-    "data.source": str,
-    "data.n_graphs": int,
-    "data.nodes_per_graph": int,
-    "data.seed": int,
-    "solver.lr": float,
-    "solver.max_iters": int,
-    "solver.grad_tol": float,
-    "solver.init_scale": float,
-}
-
-_FLAG_TO_KEY = {
-    "layers": "model.layers",
-    "K": "model.K",
-    "hidden_dim": "model.hidden_dim",
-    "curvature": "model.curvature",
-    "dropout": "model.dropout",
-    "lr": "model.lr",
-    "solver_lr": "solver.lr",
-    "weight_decay": "model.weight_decay",
-    "pooling": "model.pooling_weights",
-    "task": "model.task",
-    "seed": "model.seed",
-    "max_epochs": "train.max_epochs",
-    "patience": "train.patience",
-    "n_graphs": "data.n_graphs",
-    "nodes_per_graph": "data.nodes_per_graph",
-}
-
-_DEFAULTS = {
-    "model.layers": 2,
-    "model.K": 4,
-    "model.hidden_dim": 16,
-    "model.curvature": -1.0,
-    "model.dropout": 0.0,
-    "model.lr": 0.01,
-    "model.weight_decay": 0.0,
-    "model.pooling_weights": "uniform",
-    "model.kernel_source": "optimized",
-    "model.task": "graph",
-    "model.seed": 0,
-    "train.max_epochs": 500,
-    "train.patience": 50,
-    "data.source": "synth",
-    "data.n_graphs": 200,
-    "data.nodes_per_graph": 16,
-    "data.seed": 0,
-    "solver.lr": 1e-4,
-    "solver.max_iters": 200_000,
-    "solver.grad_tol": 1e-6,
-    "solver.init_scale": 0.5,
+_SECTIONS = {
+    "model": graphnet.HKNConfig,
+    "train": graphnet.TrainConfig,
+    "data": graphnet.DataConfig,
+    "solver": kernelgen.SolverConfig,
 }
 
 
@@ -110,7 +54,20 @@ def _usage_guard(fn, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _parse_config_file(path) -> dict:
+def _defaults(names, without=()) -> dict:
+    """Default of every config key under the named sections ("model") or
+    single keys ("model.curvature"), less the keys in without."""
+    defaults = {}
+    for name in names:
+        section, _, only = name.partition(".")
+        for f in dataclasses.fields(_SECTIONS[section]):
+            key = f"{section}.{f.name}"
+            if only in ("", f.name) and key not in without:
+                defaults[key] = f.default
+    return defaults
+
+
+def _parse_config_file(path, defaults: dict, subcommand: str) -> dict:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -121,29 +78,33 @@ def _parse_config_file(path) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = _CONFIG_KEYS[key]
+        if key not in defaults:
+            raise UsageError(f"{path}:{lineno}: {subcommand} reads no config key {key!r}")
         try:
-            values[key] = caster(text)
+            values[key] = type(defaults[key])(text)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _resolve(args) -> dict:
-    """defaults < config file < explicit flags."""
-    resolved = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        resolved.update(_parse_config_file(args.config))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+def _resolve(args, *names, without=()) -> dict:
+    """defaults < config file < explicit flags, over the keys the
+    subcommand reads."""
+    resolved = _defaults(names, without)
+    if args.config:
+        resolved.update(_parse_config_file(args.config, resolved, args.subcommand))
+    for key in resolved:
+        value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    data = getattr(args, "data", None)
-    if data is not None:
-        resolved["data.source"] = data
     return resolved
+
+
+def _section(resolved: dict, section: str):
+    """The section's config object, built from its resolved keys."""
+    prefix = section + "."
+    values = {k[len(prefix):]: v for k, v in resolved.items() if k.startswith(prefix)}
+    return _usage_guard(_SECTIONS[section], **values)
 
 
 def _out_dir(args) -> Path:
@@ -161,11 +122,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _write_manifest(out: Path, subcommand: str, resolved: dict, kernel_hash=None, extra=None):
+def _write_manifest(out: Path, subcommand: str, resolved: dict, seed, kernel_hash=None, extra=None):
     manifest = {
         "version": __version__,
         "subcommand": subcommand,
-        "seed": resolved.get("model.seed", _DEFAULTS["model.seed"]),
+        "seed": seed,
         "config": {k: resolved[k] for k in sorted(resolved)},
         "kernel_hash": kernel_hash,
     }
@@ -187,33 +148,11 @@ def _parse_radii(spec: str) -> tuple:
     return tuple(np.arange(start, stop + step / 2, step))
 
 
-def _model_config(resolved: dict) -> graphnet.HKNConfig:
-    return _usage_guard(
-        graphnet.HKNConfig,
-        layers=resolved["model.layers"],
-        K=resolved["model.K"],
-        hidden_dim=resolved["model.hidden_dim"],
-        curvature=resolved["model.curvature"],
-        dropout=resolved["model.dropout"],
-        lr=resolved["model.lr"],
-        weight_decay=resolved["model.weight_decay"],
-        pooling_weights=resolved["model.pooling_weights"],
-        kernel_source=resolved["model.kernel_source"],
-        task=resolved["model.task"],
-        seed=resolved["model.seed"],
-    )
-
-
-def _load_data(resolved: dict) -> graphnet.GraphBatch:
-    source = resolved["data.source"]
-    if source == "synth":
-        return _usage_guard(
-            graphnet.synth_trees_vs_random,
-            resolved["data.n_graphs"],
-            resolved["data.nodes_per_graph"],
-            resolved["data.seed"],
-        )
-    return graphnet.load_dataset(source)
+def _task_data(data_cfg: graphnet.DataConfig, task: str) -> graphnet.GraphBatch:
+    data = _usage_guard(data_cfg.load)
+    if data.task != task:
+        raise UsageError(f"data task {data.task!r} != --task {task!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +160,16 @@ def _load_data(resolved: dict) -> graphnet.GraphBatch:
 
 
 def cmd_kernel_gen(args) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, "solver", "model.curvature")
     out = _out_dir(args)
     if args.K < 2:
         raise UsageError("kernel-gen needs --K >= 2")
     if args.dim < 1:
         raise UsageError("kernel-gen needs --dim >= 1")
-    solver = _usage_guard(
-        kernelgen.SolverConfig,
-        learning_rate=resolved["solver.lr"],
-        max_iters=resolved["solver.max_iters"],
-        grad_tol=resolved["solver.grad_tol"],
-        seed=resolved["model.seed"],
-        init_scale=resolved["solver.init_scale"],
+    solver = _section(resolved, "solver")
+    cfg = _usage_guard(
+        manifold.ManifoldConfig, curvature=resolved["model.curvature"], dim=args.dim
     )
-    cfg = manifold.ManifoldConfig(curvature=resolved["model.curvature"], dim=args.dim)
     kernels, log, converged, iters = kernelgen.solve_kernels_verbose(
         args.K, args.dim, solver, cfg
     )
@@ -252,6 +186,7 @@ def cmd_kernel_gen(args) -> int:
         out,
         "kernel-gen",
         resolved,
+        solver.seed,
         kernel_hash=_sha256(out / "kernels.json"),
         extra={"K": args.K, "dim": args.dim, "converged": converged, "iterations": iters},
     )
@@ -270,11 +205,16 @@ def cmd_invariants(args) -> int:
     out = _out_dir(args)
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    records = invariants.run_suite(args.suite, trials=args.trials, mutate=args.mutate)
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    records = invariants.run_suite(
+        args.suite, trials=args.trials, seed=args.seed, mutate=args.mutate
+    )
     failed = sum(1 for r in records if not r["passed"])
     report = {
         "suite": args.suite,
         "trials": args.trials,
+        "seed": args.seed,
         "mutate": args.mutate,
         "failed": failed,
         "properties": records,
@@ -288,7 +228,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_appendix_a(args) -> int:
-    resolved = _resolve(args)
     out = _out_dir(args)
     radii = _parse_radii(args.radii)
     rows = kernelgen.gradient_decay_experiment(K=args.K, radii=radii)
@@ -298,16 +237,15 @@ def cmd_appendix_a(args) -> int:
         for radius, norm in rows:
             fh.write(f"{radius!r},{norm!r}\n")
     _write_json(out / "report.json", {"slope": slope, "r_squared": r2, "rows": rows})
-    _write_manifest(out, "appendix-a", resolved, extra={"K": args.K, "radii": list(radii)})
+    _write_manifest(out, "appendix-a", {}, None, extra={"K": args.K, "radii": list(radii)})
     print(f"appendix-a: slope={slope:.4f} r_squared={r2:.4f} over {len(rows)} radii")
     return 0
 
 
-def _kernels_from_flag(args, resolved, model_cfg):
+def _kernels_from_flag(flag, model_cfg):
     """Returns (kernel set or None, resolved kernel_source)."""
-    flag = args.kernel
     if flag is None:
-        return None, resolved["model.kernel_source"]
+        return None, model_cfg.kernel_source
     if flag in graphnet.KERNEL_SOURCES:
         return None, flag
     kernels = kernelgen.load_kernels(flag)
@@ -328,25 +266,19 @@ def _kernels_from_flag(args, resolved, model_cfg):
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, "model", "train", "data")
     out = _out_dir(args)
-    model_cfg = _model_config(resolved)
-    kernels, source = _kernels_from_flag(args, resolved, model_cfg)
+    model_cfg = _section(resolved, "model")
+    kernels, source = _kernels_from_flag(args.kernel, model_cfg)
     if source != model_cfg.kernel_source:
         resolved["model.kernel_source"] = source
         model_cfg = dataclasses.replace(model_cfg, kernel_source=source)
-    data = _load_data(resolved)
-    if data.task != model_cfg.task:
-        raise UsageError(f"data task {data.task!r} != --task {model_cfg.task!r}")
+    data_cfg = _section(resolved, "data")
+    data = _task_data(data_cfg, model_cfg.task)
     model = graphnet.build_hkn(
         model_cfg, kernels, feature_dim=data.feature_dim, num_classes=data.num_classes
     )
-    run_cfg = _usage_guard(
-        graphnet.TrainConfig,
-        max_epochs=resolved["train.max_epochs"],
-        patience=resolved["train.patience"],
-    )
-    metrics = graphnet.train(model, data, run_cfg)
+    metrics = graphnet.train(model, data, _section(resolved, "train"))
     graphnet.write_metrics_csv(metrics.history, out / "metrics.csv")
     kernelgen.save_kernels(model.layer_kernels[-1], out / "kernels.json")
     info = {
@@ -354,15 +286,12 @@ def cmd_train(args) -> int:
         "test_accuracy": metrics.accuracy,
         "test_macro_f1": metrics.macro_f1,
         "test_loss": metrics.loss,
-        "data": {
-            "source": resolved["data.source"],
-            "n_graphs": resolved["data.n_graphs"],
-            "nodes_per_graph": resolved["data.nodes_per_graph"],
-            "seed": resolved["data.seed"],
-        },
+        "data": dataclasses.asdict(data_cfg),
     }
     graphnet.save_checkpoint(model, out / "checkpoint.json", info)
-    _write_manifest(out, "train", resolved, kernel_hash=_sha256(out / "kernels.json"))
+    _write_manifest(
+        out, "train", resolved, model_cfg.seed, kernel_hash=_sha256(out / "kernels.json")
+    )
     print(
         f"train: best_epoch={model.best_epoch} test_accuracy={metrics.accuracy:.4f} "
         f"test_macro_f1={metrics.macro_f1:.4f}"
@@ -379,14 +308,8 @@ def cmd_eval(args) -> int:
         raise UsageError(
             f"the checkpoint was trained on {recorded!r}; pass --data with that dataset"
         )
-    if args.data is None or args.data == "synth":
-        data = graphnet.synth_trees_vs_random(
-            spec.get("n_graphs", _DEFAULTS["data.n_graphs"]),
-            spec.get("nodes_per_graph", _DEFAULTS["data.nodes_per_graph"]),
-            spec.get("seed", _DEFAULTS["data.seed"]),
-        )
-    else:
-        data = graphnet.load_dataset(args.data)
+    # the synthetic suite is rebuilt at the checkpoint's recorded size and seed
+    data = graphnet.DataConfig(**{**spec, "source": args.data or "synth"}).load()
     metrics = graphnet.evaluate(model, data, args.split)
     stored = info.get("test_accuracy")
     report = {
@@ -408,17 +331,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, "model", "train", "data", without=("model.K",))
     out = _out_dir(args)
-    model_cfg = _model_config(resolved)
+    model_cfg = _section(resolved, "model")
     try:
         K_list = tuple(int(part) for part in args.K_list.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --K-list: {exc}") from exc
-    rows, table = graphnet.sweep_kernels(model_cfg, K_list=K_list, seeds=args.seeds)
+    data = _task_data(_section(resolved, "data"), model_cfg.task)
+    rows, table = graphnet.sweep_kernels(
+        model_cfg, K_list, args.seeds, data, _section(resolved, "train")
+    )
     graphnet.write_sweep_csv(rows, out / "sweep.csv")
     _write_manifest(
-        out, "sweep", resolved, extra={"K_list": list(K_list), "seeds": args.seeds}
+        out, "sweep", resolved, model_cfg.seed, extra={"K_list": list(K_list), "seeds": args.seeds}
     )
     print("K mean std")
     for K, mean, std in table:
@@ -438,20 +364,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hkconv {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def out_flag(p):
         p.add_argument("--out", default=None, help="output directory (default: $HKCONV_OUT or .)")
+
+    def config_flags(p):
+        out_flag(p)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+
+    def key_flag(p, flag, key, **kwargs):
+        # the dest is the config key, typed like its default
+        kind = type(_defaults((key,))[key])
+        p.add_argument(flag, dest=key, type=kind, default=None, **kwargs)
 
     p = sub.add_parser("kernel-gen", help="place kernel points and export them")
-    common(p)
+    config_flags(p)
+    key_flag(p, "--seed", "solver.seed")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--lr", dest="solver_lr", type=float, default=None)
+    key_flag(p, "--lr", "solver.lr")
     p.set_defaults(func=cmd_kernel_gen)
 
     p = sub.add_parser("invariants", help="run randomized property suites")
-    common(p)
+    out_flag(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", choices=invariants.SUITES + ("all",), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument(
@@ -463,30 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("appendix-a", help="gradient-decay-vs-radius experiment")
-    common(p)
+    out_flag(p)
     p.add_argument("--K", type=int, default=8)
     p.add_argument("--radii", default="0.5:5.0:0.5", help="start:stop:step")
     p.set_defaults(func=cmd_appendix_a)
 
     def train_like(p):
-        common(p)
-        p.add_argument("--task", choices=graphnet.TASKS, default=None)
-        p.add_argument("--data", default=None, help="'synth' or a dataset JSON path")
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--layers", type=int, default=None)
-        p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-        p.add_argument("--curvature", type=float, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--dropout", type=float, default=None)
-        p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-        p.add_argument("--pooling", choices=("uniform", "attention"), default=None)
-        p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--n-graphs", dest="n_graphs", type=int, default=None)
-        p.add_argument("--nodes-per-graph", dest="nodes_per_graph", type=int, default=None)
+        config_flags(p)
+        key_flag(p, "--seed", "model.seed")
+        key_flag(p, "--task", "model.task", choices=graphnet.TASKS)
+        key_flag(p, "--data", "data.source", help="'synth' or a dataset JSON path")
+        key_flag(p, "--layers", "model.layers")
+        key_flag(p, "--hidden-dim", "model.hidden_dim")
+        key_flag(p, "--curvature", "model.curvature")
+        key_flag(p, "--lr", "model.lr")
+        key_flag(p, "--dropout", "model.dropout")
+        key_flag(p, "--weight-decay", "model.weight_decay")
+        key_flag(p, "--pooling", "model.pooling_weights", choices=("uniform", "attention"))
+        key_flag(p, "--max-epochs", "train.max_epochs")
+        key_flag(p, "--patience", "train.patience")
+        key_flag(p, "--n-graphs", "data.n_graphs")
+        key_flag(p, "--nodes-per-graph", "data.nodes_per_graph")
 
     p = sub.add_parser("train", help="train a model")
     train_like(p)
+    key_flag(p, "--K", "model.K")
     p.add_argument(
         "--kernel",
         default=None,
@@ -495,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
+    out_flag(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None, help="'synth' or a dataset JSON path")
     p.add_argument("--split", choices=graphnet.SPLITS, default="test")

@@ -280,9 +280,28 @@ def degree_histogram_baseline(batch: GraphBatch) -> float:
     return float(np.mean(pred == batch.labels[test]))
 
 
-def synth_trees_vs_random(
-    n_graphs: int = 200, nodes_per_graph: int = 16, seed: int = 0
-) -> GraphBatch:
+@dataclass(frozen=True)
+class DataConfig:
+    """Where a run's data comes from: the built-in synthetic suite
+    (source "synth", sized and seeded by the other fields) or the path of
+    a dataset JSON file, which ignores them."""
+
+    source: str = "synth"
+    n_graphs: int = 200
+    nodes_per_graph: int = 16
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError("data seed must be unsigned")
+
+    def load(self) -> GraphBatch:
+        if self.source == "synth":
+            return synth_trees_vs_random(self.n_graphs, self.nodes_per_graph, self.seed)
+        return load_dataset(self.source)
+
+
+def synth_trees_vs_random(n_graphs: int, nodes_per_graph: int, seed: int = 0) -> GraphBatch:
     """Balanced two-class suite: random trees (label 0) vs Erdos-Renyi
     graphs with expected degree 3 (label 1), alternating by graph index.
 
@@ -351,11 +370,12 @@ class HKNConfig:
             raise ParameterError("K must be in 2..9")
         if self.hidden_dim < 2:
             raise ParameterError("hidden_dim must be >= 2")
-        if self.curvature >= 0:
+        # written so that NaN fails every check
+        if not self.curvature < 0:
             raise ParameterError("curvature must be negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
-        if self.lr <= 0 or self.weight_decay < 0:
+        if not (self.lr > 0 and self.weight_decay >= 0):
             raise ParameterError("lr must be positive and weight_decay nonnegative")
         if self.pooling_weights not in layers.POOLINGS:
             raise ParameterError(f"unknown pooling {self.pooling_weights!r}")
@@ -655,25 +675,32 @@ def write_metrics_csv(history, path) -> None:
 # experiments
 
 
-def _train_once(base_cfg: HKNConfig, seed: int, data_seed: int = 0, **overrides):
-    # seeds vary the model, not the benchmark: every run scores against the
-    # same fixed synthetic suite, as in cross-seed benchmark tables
-    cfg = replace(base_cfg, seed=seed, **overrides)
-    data = synth_trees_vs_random(seed=data_seed)
+def _train_once(cfg: HKNConfig, data: GraphBatch, run_cfg: TrainConfig | None) -> float:
     model = build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
-    metrics = train(model, data)
-    return metrics.accuracy
+    return train(model, data, run_cfg).accuracy
 
 
-def sweep_kernels(cfg: HKNConfig, K_list=tuple(range(2, 10)), seeds: int = 3):
-    """One training run per (K, seed); returns (rows, table) where rows are
-    (K, seed, test_accuracy) and table rows are (K, mean, std)."""
+def sweep_kernels(
+    cfg: HKNConfig,
+    K_list=tuple(range(2, 10)),
+    seeds: int = 3,
+    data: GraphBatch | None = None,
+    run_cfg: TrainConfig | None = None,
+):
+    """One training run per (K, seed) for model seeds cfg.seed onward;
+    returns (rows, table) where rows are (K, seed, test_accuracy) and table
+    rows are (K, mean, std).
+
+    Seeds vary the model, not the benchmark: every run trains and scores
+    on the same data, the built-in synthetic suite unless data is given,
+    as in cross-seed benchmark tables."""
     if seeds < 1:
         raise ParameterError("seeds must be >= 1")
+    data = DataConfig().load() if data is None else data
     rows = []
     for K in K_list:
-        for seed in range(seeds):
-            rows.append((K, seed, _train_once(cfg, seed, K=K)))
+        for seed in range(cfg.seed, cfg.seed + seeds):
+            rows.append((K, seed, _train_once(replace(cfg, K=K, seed=seed), data, run_cfg)))
     table = []
     for K in K_list:
         accs = np.array([acc for k, _, acc in rows if k == K])
@@ -683,13 +710,15 @@ def sweep_kernels(cfg: HKNConfig, K_list=tuple(range(2, 10)), seeds: int = 3):
 
 def ablation_kernel_sources(cfg: HKNConfig, seeds: int = 5):
     """Mean test accuracy of optimized vs wrapped-normal random kernels
-    over the given number of seeds; returns (rows, means) with rows of
-    (source, seed, accuracy)."""
+    over the given number of seeds on the built-in synthetic suite;
+    returns (rows, means) with rows of (source, seed, accuracy)."""
+    data = DataConfig().load()
     rows = []
     means = {}
     for source in KERNEL_SOURCES:
         accs = [
-            _train_once(cfg, seed, kernel_source=source) for seed in range(seeds)
+            _train_once(replace(cfg, kernel_source=source, seed=seed), data, None)
+            for seed in range(seeds)
         ]
         rows.extend((source, seed, acc) for seed, acc in enumerate(accs))
         means[source] = float(np.mean(accs))
@@ -717,10 +746,11 @@ _CHECKPOINT_FIELDS = {
     "params": dict,
     "info": dict,
 }
-# the info fields hkconv eval reads, each checked where present
+# the info fields hkconv eval reads, each checked where present; info.data
+# holds DataConfig fields only
 _CHECKPOINT_INFO_FIELDS = {
     "info": {"test_accuracy": float, "data": dict},
-    "info.data": {"source": str, "n_graphs": int, "nodes_per_graph": int, "seed": int},
+    "info.data": {f.name: type(f.default) for f in fields(DataConfig)},
 }
 
 
@@ -752,8 +782,8 @@ def load_checkpoint(path) -> tuple:
     and the layer's input dimension, and exactly the parameter paths and
     shapes build_hkn lays out for that config, with finite values. The info
     fields eval reads (test_accuracy and the data block) must have their
-    JSON types where present. Anything else raises DataFormatError naming
-    the field.
+    JSON types where present, and the data block holds DataConfig keys
+    only. Anything else raises DataFormatError naming the field.
     """
     try:
         record = json.loads(Path(path).read_text())
@@ -775,6 +805,9 @@ def load_checkpoint(path) -> tuple:
                 raise DataFormatError(
                     f"checkpoint field '{block}.{key}' must be a JSON {kind.__name__}"
                 )
+    for key in record["info"].get("data", {}):
+        if key not in _CHECKPOINT_INFO_FIELDS["info.data"]:
+            raise DataFormatError(f"checkpoint field 'info.data' has unknown key {key!r}")
 
     config = record["config"]
     known = {f.name for f in fields(HKNConfig)}

@@ -349,11 +349,11 @@ def corrupted_recentering():
     original = lmath.ominus
 
     def damaged(u, x, kappa):
-        moved = original(u, x, kappa)
+        moved = ad.value_of(original(u, x, kappa))
         x_val = np.atleast_2d(ad.value_of(x))
-        drift = np.zeros(ad.value_of(moved).shape[-1] - 1)
+        drift = np.zeros(moved.shape[-1] - 1)
         drift[-1] = 0.05 * float(np.max(x_val[:, 0]))
-        return lmath.from_spatial(moved[..., 1:] + drift, kappa)
+        return lmath._lifted(moved[..., 1:] + drift, kappa)
 
     lmath.ominus = damaged
     try:

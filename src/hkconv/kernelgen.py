@@ -81,16 +81,17 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    learning_rate: float = 1e-4
+    lr: float = 1e-4
     max_iters: int = 200_000
     grad_tol: float = 1e-6
     seed: int = 0
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ParameterError("learning_rate, max_iters and grad_tol must be positive")
-        if self.init_scale <= 0:
+        # written so that NaN fails every check
+        if not (self.lr > 0 and self.max_iters > 0 and self.grad_tol > 0):
+            raise ParameterError("lr, max_iters and grad_tol must be positive")
+        if not self.init_scale > 0:
             raise ParameterError("init_scale must be positive")
         if self.seed < 0:
             raise ParameterError("seed must be unsigned")
@@ -260,8 +261,8 @@ def solve_kernels_verbose(
     log: list[tuple[int, float, float]] = []
     converged = False
     iteration = 0
-    step = solver.learning_rate
-    min_step = solver.learning_rate * 1e-12
+    step = solver.lr
+    min_step = solver.lr * 1e-12
     loss = _loss_value(coords, kappa)
 
     for iteration in range(1, solver.max_iters + 1):
@@ -398,7 +399,7 @@ def kernels_from_dict(data: dict) -> KernelSet:
         raw_points = list(data["points"])
         declared_K = int(data["K"])
         provenance = str(data["provenance"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed kernel record: {exc}") from exc
     if len(raw_points) != declared_K:
         raise DataFormatError(f"K={declared_K} but {len(raw_points)} points present")

@@ -84,16 +84,6 @@ def _lifted_vjp(g: np.ndarray, out: np.ndarray, spatial: np.ndarray) -> np.ndarr
     return g[..., 1:] + g[..., :1] / out[..., :1] * spatial
 
 
-def from_spatial(spatial, kappa: float):
-    """Lift spatial rows onto the manifold by solving for the time component."""
-    return ad._lift(
-        "from_spatial",
-        (spatial,),
-        lambda s: _lifted(s, kappa),
-        (lambda out, s: lambda g: _lifted_vjp(g, out, s),),
-    )
-
-
 def time_normalized(x, kappa: float):
     """Recompute the time component from the spatial part.
 

@@ -345,6 +345,25 @@ class TestFailureModes:
             ad.grad(lambda leaves: ad.add(leaves["x"], 1.0), store)
 
 
+    def test_wrong_shaped_adjoint_is_a_build_error(self):
+        store = ad.ParamStore()
+        store.add("x", np.ones(4))
+        with pytest.raises(BuildError, match="'broadcast_row'"):
+            ad.grad(_broadcast_row_loss, store)
+
+
+def _broadcast_row_loss(leaves):
+    """A loss through a hand-made op whose VJP wrongly hands its (4,) input
+    the (6, 4) adjoint of its output."""
+    rows = ad._lift(
+        "broadcast_row",
+        (leaves["x"],),
+        lambda x: np.tile(x, (6, 1)),
+        (lambda out, x: lambda g: g,),
+    )
+    return ad.sum(ad.multiply(rows, rows))
+
+
 class TestParamStore:
     def test_round_trip_and_validation(self):
         store = ad.ParamStore()
@@ -446,3 +465,12 @@ class TestFiniteDiffCheck:
 
         report = ad.finite_diff_check(loss, store)
         assert sorted(report) == ["a", "b", "c"]
+
+    def test_wrong_shaped_gradient_fails_the_check(self, monkeypatch):
+        # an engine without the adjoint shape check hands the (6, 4) adjoint
+        # out as the leaf's gradient; the directional sum would broadcast it
+        store = ad.ParamStore()
+        store.add("x", np.ones(4))
+        monkeypatch.setattr(ad, "grad", lambda fn, st: {"x": np.full((6, 4), 2.0)})
+        with pytest.raises(BuildError, match="'x'"):
+            ad.finite_diff_check(_broadcast_row_loss, store)

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts with fixed names, manifest contents,
 exit-code contract, config layering, and byte-identical reruns."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -81,7 +82,7 @@ class TestKernelGenCommand:
         assert main([*args, "--lr", "0.001", "--out", str(flag)]) == 0
         config = json.loads((flag / "manifest.json").read_text())["config"]
         assert config["solver.lr"] == 0.001
-        assert config["model.lr"] == 0.01
+        assert "model.lr" not in config
         # the flag and the config key run the same solve
         cfg = tmp_path / "run.cfg"
         cfg.write_text("solver.lr=0.001\n")
@@ -127,6 +128,17 @@ class TestInvariantsCommand:
 
     def test_bad_trials_is_usage_error(self, tmp_path):
         assert main(["invariants", "--trials", "0", "--out", str(tmp_path)]) == 2
+
+    def test_seed_drives_the_suite(self, tmp_path):
+        reports = {}
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            args = ["invariants", "--suite", "manifold", "--trials", "5", "--seed", seed]
+            assert main([*args, "--out", str(out)]) == 0
+            reports[seed] = json.loads((out / "report.json").read_text())
+        assert reports["5"]["seed"] == 5
+        errors = {s: [p["max_error"] for p in r["properties"]] for s, r in reports.items()}
+        assert errors["0"] != errors["5"]
 
 
 class TestAppendixACommand:
@@ -337,6 +349,11 @@ class TestTrainEvalSweep:
                 "'info.test_accuracy'",
                 id="info-accuracy",
             ),
+            pytest.param(
+                lambda r: {**r, "info": {"data": {"n_graph": 60}}},
+                "'n_graph'",
+                id="info-data-key",
+            ),
         ],
     )
     def test_malformed_checkpoint_is_one_line_failure(self, tmp_path, capsys, damage, named):
@@ -399,7 +416,6 @@ class TestTrainEvalSweep:
         )
         assert code == 0
 
-    @pytest.mark.slow
     def test_sweep_emits_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(
@@ -414,6 +430,24 @@ class TestTrainEvalSweep:
         assert len(lines) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["K_list"] == [2, 3]
+
+    def test_sweep_trains_on_its_data_train_and_seed_flags(self, tmp_path):
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", "--K-list", "2", "--seeds", "1", "--seed", "2", "--out", str(out),
+                "--n-graphs", "60", "--nodes-per-graph", "12", "--max-epochs", "4",
+            ]
+        )
+        assert code == 0
+        row = (out / "sweep.csv").read_text().strip().splitlines()[1].split(",")
+        data = graphnet.synth_trees_vs_random(60, 12, seed=0)
+        model = graphnet.build_hkn(
+            graphnet.HKNConfig(K=2, seed=2), feature_dim=data.feature_dim, num_classes=2
+        )
+        metrics = graphnet.train(model, data, graphnet.TrainConfig(max_epochs=4))
+        assert row == ["2", "2", repr(metrics.accuracy)]
+        assert len(metrics.history) == 4 * 3
 
     def test_bad_K_list_exits_2(self, tmp_path):
         assert main(["sweep", "--K-list", "2,x", "--out", str(tmp_path)]) == 2
@@ -434,3 +468,103 @@ class TestOutputDirResolution:
         ) == 0
         assert (out / "report.json").is_file()
         assert not (tmp_path / "env").exists()
+
+
+def _keys(cls, section):
+    return {f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+
+
+class TestConfigKeys:
+    """Each subcommand accepts exactly the config keys it reads, with the
+    types and defaults of the config dataclasses."""
+
+    def test_manifest_config_holds_the_keys_read(self, tmp_path):
+        model = _keys(graphnet.HKNConfig, "model")
+        run = _keys(graphnet.TrainConfig, "train") | _keys(graphnet.DataConfig, "data")
+        small = ["--n-graphs", "60", "--nodes-per-graph", "12", "--max-epochs", "2"]
+        runs = {
+            "kernel-gen": (
+                ["kernel-gen", "--K", "2", "--dim", "2"],
+                _keys(kernelgen.SolverConfig, "solver") | {"model.curvature"},
+            ),
+            "appendix-a": (["appendix-a", "--radii", "1:2:1"], set()),
+            "train": (["train", *small], model | run),
+            "sweep": (
+                ["sweep", "--K-list", "2", "--seeds", "1", *small],
+                (model - {"model.K"}) | run,
+            ),
+        }
+        for name, (args, keys) in runs.items():
+            out = tmp_path / name
+            assert main([*args, "--out", str(out)]) == 0, name
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert set(config) == keys, name
+        defaults = json.loads((tmp_path / "kernel-gen" / "manifest.json").read_text())["config"]
+        assert defaults["solver.max_iters"] == kernelgen.SolverConfig().max_iters
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["train"], "solver.lr=nan"),
+            (["train"], "solver.max_iters=1"),
+            (["sweep"], "model.K=3"),
+            (["kernel-gen", "--K", "2", "--dim", "2"], "model.lr=0.1"),
+            (["kernel-gen", "--K", "2", "--dim", "2"], "data.seed=1"),
+        ],
+    )
+    def test_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert repr(line.partition("=")[0]) in err[0]
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["appendix-a"],
+            ["invariants", "--suite", "prop1", "--trials", "1"],
+            ["eval", "--checkpoint", "c.json"],
+        ],
+    )
+    def test_config_flag_is_refused_where_no_key_is_read(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.K=3\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["train"], "data.seed=-1"),
+            (["train"], "model.lr=nan"),
+            (["train"], "model.curvature=nan"),
+            (["kernel-gen", "--K", "2", "--dim", "2"], "solver.lr=nan"),
+            (["kernel-gen", "--K", "2", "--dim", "2"], "model.curvature=nan"),
+        ],
+    )
+    def test_out_of_range_value_is_one_line_usage_error(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize("field", ["K", "dim"])
+    def test_infinite_kernel_file_count_is_one_line_failure(self, tmp_path, capsys, field):
+        # JSON reads 1e400 as an infinity
+        record = {"curvature": -1.0, "dim": 16, "K": 4, "provenance": "optimized", "points": []}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({**record, field: "inf"}).replace('"inf"', "1e400"))
+        capsys.readouterr()
+        code = main(["train", "--kernel", str(path), "--out", str(tmp_path / "t"), *_SMALL_TRAIN])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure: malformed kernel record")

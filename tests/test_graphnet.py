@@ -274,6 +274,9 @@ class TestModelAssembly:
             dict(dropout=1.0),
             dict(dropout=-0.1),
             dict(lr=0.0),
+            dict(curvature=math.nan),
+            dict(lr=math.nan),
+            dict(weight_decay=math.nan),
             dict(pooling_weights="nearest"),
             dict(kernel_source="fixed"),
             dict(task="edge"),

@@ -175,11 +175,14 @@ class TestSolver:
         with pytest.raises(ParameterError):
             kg.solve_kernels(3, 0, kg.SolverConfig(), cfg2)
         with pytest.raises(ParameterError):
-            kg.SolverConfig(learning_rate=0.0)
+            kg.SolverConfig(lr=0.0)
         with pytest.raises(ParameterError):
             kg.SolverConfig(max_iters=0)
         with pytest.raises(ParameterError):
             kg.SolverConfig(grad_tol=-1.0)
+        for name in ("lr", "grad_tol", "init_scale"):
+            with pytest.raises(ParameterError):
+                kg.SolverConfig(**{name: math.nan})
 
 
 class TestRandomKernels:

@@ -1,6 +1,6 @@
 """Fused Lorentz maps against the chains of primitives they replace.
 
-Each fused op (inner, dist, cross_dist, from_spatial, time_normalized,
+Each fused op (inner, dist, cross_dist, time_normalized,
 normalize_timelike) is one tape node. The oracles below rebuild it from
 autodiff primitives, the way lmath computed it before fusion: forwards must
 agree bit for bit, adjoints to 1e-12 relative. exp, built on them, is
@@ -158,10 +158,6 @@ def _pairs(kappa):
             lambda a, b: lmath.cross_dist(a, b, kappa),
             lambda a, b: _cross_dist(a, b, kappa),
         ),
-        "from_spatial": (
-            lambda a: lmath.from_spatial(a, kappa),
-            lambda a: _from_spatial(a, kappa),
-        ),
         "time_normalized": (
             lambda a: lmath.time_normalized(a, kappa),
             lambda a: _time_normalized(a, kappa),
@@ -189,7 +185,6 @@ class TestFusedForwardsAreBitIdentical:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_lifts(self, rng, kappa):
         ops = _pairs(kappa)
-        _assert_same_forward(*ops["from_spatial"], (rng.standard_normal((30, 4)),))
         _assert_same_forward(*ops["time_normalized"], (_points(rng, 30, 4, kappa),))
 
     @pytest.mark.parametrize("kappa", KAPPAS)
@@ -228,9 +223,6 @@ class TestFusedAdjointsMatchComposites:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_lifts_and_normalization(self, rng, kappa):
         ops = _pairs(kappa)
-        s = rng.standard_normal((15, 4))
-        s[0] = 0.0
-        _assert_same_adjoints(*ops["from_spatial"], (s,), rng)
         x = _points(rng, 15, 4, kappa)
         _assert_same_adjoints(*ops["time_normalized"], (x,), rng)
         u = x + 0.3 * _points(rng, 15, 4, kappa)
@@ -251,7 +243,6 @@ class TestFusedAdjointsMatchComposites:
             lmath.inner(x, y),
             lmath.dist(x, y, -1.0),
             lmath.cross_dist(x, y, -1.0),
-            lmath.from_spatial(x, -1.0),
             lmath.time_normalized(x, -1.0),
             lmath.normalize_timelike(x, -1.0),
             lmath.ominus(x, y, -1.0),
