@@ -10,10 +10,12 @@ topological order.
 Design points:
 
 - 64-bit floats everywhere.
-- A composite map may be one tape node (:func:`_lift_joint`): its forward
-  evaluates the same NumPy expressions as the chain of primitives it
-  replaces, so values are unchanged, and a hand-written rule gives all
-  of its adjoints at once from what the forward kept.
+- Every tape node comes from :func:`_lift` (``concatenate`` and ``stack``
+  build theirs by hand): a forward returns the output and what its
+  backward rule needs, and the rule gives all the node's adjoints at once.
+  A composite map may be one node: its forward evaluates the same NumPy
+  expressions as the chain of primitives it replaces, so values are
+  unchanged, and its rule shares work between the adjoints.
 - The reverse pass keeps an interior node's adjoint only until that
   node's VJPs have run and returns the adjoints of leaves alone, so the
   live adjoints are those of the current frontier, not of the whole graph.
@@ -138,59 +140,50 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _lift(op: str, inputs: tuple, forward: Callable, vjp_makers: tuple):
-    """Run ``forward`` on raw values; record vjps if any input is a Tensor.
+def _lift(op: str, inputs: tuple, forward: Callable, backward: Callable):
+    """Run ``forward`` on raw values; record a tape node if any input is a Tensor.
 
-    ``vjp_makers[i]`` is called as maker(out_value, *input_values) and must
-    return the adjoint function for input i, or None for non-differentiable
-    inputs.
+    ``forward(*input_values)`` returns ``(out, saved)``: the output and what
+    the backward rule needs. ``backward(g, saved, needs)`` returns one
+    adjoint per input, where ``needs[i]`` tells whether input i is a Tensor
+    (the entry of a constant input is ignored and may be None). The node
+    has one VJP per Tensor input, and ``backward`` runs once per visit of
+    the node: the first VJP called computes every adjoint, each VJP hands
+    out its own, and the last one drops them.
     """
     for x in inputs:
         _check_operand(x)
-    vals = tuple(value_of(x) for x in inputs)
-    out_val = forward(*vals)
-    tensor_parents = []
-    vjps = []
-    for x, maker in zip(inputs, vjp_makers):
-        if isinstance(x, Tensor) and maker is not None:
-            tensor_parents.append(x)
-            vjps.append(maker(out_val, *vals))
-    if not tensor_parents:
-        return out_val
-    return Tensor(out_val, tuple(tensor_parents), tuple(vjps), op)
-
-
-def _lift_joint(op: str, inputs: tuple, forward: Callable, backward: Callable):
-    """One tape node for a composite map whose adjoints share their work.
-
-    ``forward(*input_values)`` returns ``(out, saved)``: the output and
-    what the backward rule needs. ``backward(g, saved, needs)`` returns one
-    adjoint per input, where ``needs[i]`` tells whether input i is a Tensor
-    (the entry of a constant input is ignored and may be None). It runs
-    once per visit of the node: the first VJP called computes every
-    adjoint, each VJP hands out its own, and the last one drops them.
-    """
+    out, saved = forward(*(value_of(x) for x in inputs))
     needs = tuple(isinstance(x, Tensor) for x in inputs)
+    if not any(needs):
+        return out
+    parents = tuple(x for x in inputs if isinstance(x, Tensor))
     state = {}
 
-    def run(*vals):
-        out, state["saved"] = forward(*vals)
-        return out
-
-    def maker(i):
-        def vjp(g):
+    def vjp(i):
+        def run(g):
             if "grads" not in state:
-                state["grads"] = backward(g, state["saved"], needs)
-                state["left"] = sum(needs)
+                state["grads"] = backward(g, saved, needs)
+                state["left"] = len(parents)
             grad_i = state["grads"][i]
             state["left"] -= 1
             if not state["left"]:
                 del state["grads"]
             return grad_i
 
-        return lambda out, *vals: vjp
+        return run
 
-    return _lift(op, inputs, run, tuple(maker(i) for i in range(len(inputs))))
+    return Tensor(out, parents, tuple(vjp(i) for i, need in enumerate(needs) if need), op)
+
+
+def _per_input(*rules: Callable) -> Callable:
+    """A backward rule made of one ``rule(g, *saved)`` per input; the rules
+    of constant inputs do not run."""
+
+    def backward(g, saved, needs):
+        return tuple(rule(g, *saved) if need else None for rule, need in zip(rules, needs))
+
+    return backward
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +194,10 @@ def add(a, b):
     return _lift(
         "add",
         (a, b),
-        lambda x, y: x + y,
-        (
-            lambda out, x, y: lambda g: _unbroadcast(g, x.shape),
-            lambda out, x, y: lambda g: _unbroadcast(g, y.shape),
+        lambda x, y: (x + y, (x.shape, y.shape)),
+        _per_input(
+            lambda g, x_shape, y_shape: _unbroadcast(g, x_shape),
+            lambda g, x_shape, y_shape: _unbroadcast(g, y_shape),
         ),
     )
 
@@ -213,10 +206,10 @@ def subtract(a, b):
     return _lift(
         "subtract",
         (a, b),
-        lambda x, y: x - y,
-        (
-            lambda out, x, y: lambda g: _unbroadcast(g, x.shape),
-            lambda out, x, y: lambda g: _unbroadcast(-g, y.shape),
+        lambda x, y: (x - y, (x.shape, y.shape)),
+        _per_input(
+            lambda g, x_shape, y_shape: _unbroadcast(g, x_shape),
+            lambda g, x_shape, y_shape: _unbroadcast(-g, y_shape),
         ),
     )
 
@@ -225,10 +218,10 @@ def multiply(a, b):
     return _lift(
         "multiply",
         (a, b),
-        lambda x, y: x * y,
-        (
-            lambda out, x, y: lambda g: _unbroadcast(g * y, x.shape),
-            lambda out, x, y: lambda g: _unbroadcast(g * x, y.shape),
+        lambda x, y: (x * y, (x, y)),
+        _per_input(
+            lambda g, x, y: _unbroadcast(g * y, x.shape),
+            lambda g, x, y: _unbroadcast(g * x, y.shape),
         ),
     )
 
@@ -237,16 +230,16 @@ def divide(a, b):
     return _lift(
         "divide",
         (a, b),
-        lambda x, y: x / y,
-        (
-            lambda out, x, y: lambda g: _unbroadcast(g / y, x.shape),
-            lambda out, x, y: lambda g: _unbroadcast(-g * x / (y * y), y.shape),
+        lambda x, y: (x / y, (x, y)),
+        _per_input(
+            lambda g, x, y: _unbroadcast(g / y, x.shape),
+            lambda g, x, y: _unbroadcast(-g * x / (y * y), y.shape),
         ),
     )
 
 
 def negative(a):
-    return _lift("negative", (a,), lambda x: -x, (lambda out, x: lambda g: -g,))
+    return _lift("negative", (a,), lambda x: (-x, ()), _per_input(lambda g: -g))
 
 
 def power(a, exponent):
@@ -256,38 +249,36 @@ def power(a, exponent):
     return _lift(
         "power",
         (a,),
-        lambda x: x**c,
-        (lambda out, x: lambda g: g * c * x ** (c - 1.0),),
+        lambda x: (x**c, (x,)),
+        _per_input(lambda g, x: g * c * x ** (c - 1.0)),
     )
 
 
+def _matmul_adjoint_x(g, x, y):
+    if x.ndim == 2:
+        return g @ y.T if y.ndim == 2 else np.outer(g, y)
+    return y @ g if y.ndim == 2 else g * y
+
+
+def _matmul_adjoint_y(g, x, y):
+    if y.ndim == 2:
+        return x.T @ g if x.ndim == 2 else np.outer(x, g)
+    return x.T @ g if x.ndim == 2 else g * x
+
+
 def matmul(a, b):
-    def fwd(x, y):
-        return x @ y
-
-    def maker_a(out, x, y):
-        if x.ndim == 2 and y.ndim == 2:
-            return lambda g: g @ y.T
-        if x.ndim == 1 and y.ndim == 2:
-            return lambda g: y @ g
-        if x.ndim == 2 and y.ndim == 1:
-            return lambda g: np.outer(g, y)
-        if x.ndim == 1 and y.ndim == 1:
-            return lambda g: g * y
-        raise BuildError(f"matmul on ndim {x.ndim} x {y.ndim} is not supported")
-
-    def maker_b(out, x, y):
-        if x.ndim == 2 and y.ndim == 2:
-            return lambda g: x.T @ g
-        if x.ndim == 1 and y.ndim == 2:
-            return lambda g: np.outer(x, g)
-        if x.ndim == 2 and y.ndim == 1:
-            return lambda g: x.T @ g
-        if x.ndim == 1 and y.ndim == 1:
-            return lambda g: g * x
-        raise BuildError(f"matmul on ndim {x.ndim} x {y.ndim} is not supported")
-
-    return _lift("matmul", (a, b), fwd, (maker_a, maker_b))
+    """x @ y; recorded for 1-D and 2-D operands only."""
+    out = _lift(
+        "matmul",
+        (a, b),
+        lambda x, y: (x @ y, (x, y)),
+        _per_input(_matmul_adjoint_x, _matmul_adjoint_y),
+    )
+    if isinstance(out, Tensor):
+        x, y = value_of(a), value_of(b)
+        if max(x.ndim, y.ndim) > 2:
+            raise BuildError(f"matmul on ndim {x.ndim} x {y.ndim} is not supported")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +286,14 @@ def matmul(a, b):
 
 
 def _elementwise(op: str, fn: Callable, dfn: Callable):
+    def forward(x):
+        out = fn(x)
+        return out, (out, x)
+
+    backward = _per_input(lambda g, out, x: g * dfn(out, x))
+
     def apply(a):
-        return _lift(op, (a,), fn, (lambda out, x: lambda g: g * dfn(out, x),))
+        return _lift(op, (a,), forward, backward)
 
     apply.__name__ = op
     return apply
@@ -321,31 +318,31 @@ relu = _elementwise(
 absolute = _elementwise("absolute", np.abs, lambda out, x: np.sign(x))
 
 
+def _arccosh_adjoint(g, x):
+    safe = x > 1.0 + ACOSH_GRAD_GUARD
+    denom = np.sqrt(np.where(safe, x * x - 1.0, 1.0))
+    return np.where(safe, g / denom, 0.0)
+
+
 def arccosh(a):
     """acosh with a guarded adjoint: zero wherever the argument is within
     ACOSH_GRAD_GUARD of 1 (the derivative is singular at coincidence)."""
-
-    def fwd(x):
-        return np.arccosh(np.maximum(x, 1.0))
-
-    def maker(out, x):
-        def vjp(g):
-            safe = x > 1.0 + ACOSH_GRAD_GUARD
-            denom = np.sqrt(np.where(safe, x * x - 1.0, 1.0))
-            return np.where(safe, g / denom, 0.0)
-
-        return vjp
-
-    return _lift("arccosh", (a,), fwd, (maker,))
+    return _lift(
+        "arccosh",
+        (a,),
+        lambda x: (np.arccosh(np.maximum(x, 1.0)), (x,)),
+        _per_input(_arccosh_adjoint),
+    )
 
 
 def clamp_min(a, lo: float):
     """max(a, lo) elementwise; the clamp contributes zero gradient when active."""
-
-    def maker(out, x):
-        return lambda g: g * (x > lo).astype(np.float64)
-
-    return _lift("clamp_min", (a,), lambda x: np.maximum(x, lo), (maker,))
+    return _lift(
+        "clamp_min",
+        (a,),
+        lambda x: (np.maximum(x, lo), (x,)),
+        _per_input(lambda g, x: g * (x > lo).astype(np.float64)),
+    )
 
 
 def where(cond, a, b):
@@ -355,10 +352,10 @@ def where(cond, a, b):
     return _lift(
         "where",
         (a, b),
-        lambda x, y: np.where(cond, x, y),
-        (
-            lambda out, x, y: lambda g: _unbroadcast(np.where(cond, g, 0.0), x.shape),
-            lambda out, x, y: lambda g: _unbroadcast(np.where(cond, 0.0, g), y.shape),
+        lambda x, y: (np.where(cond, x, y), (x.shape, y.shape)),
+        _per_input(
+            lambda g, x_shape, y_shape: _unbroadcast(np.where(cond, g, 0.0), x_shape),
+            lambda g, x_shape, y_shape: _unbroadcast(np.where(cond, 0.0, g), y_shape),
         ),
     )
 
@@ -368,20 +365,17 @@ def where(cond, a, b):
 
 
 def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
-    def fwd(x):
-        return np.sum(x, axis=axis, keepdims=keepdims)
+    def adjoint(g, x_shape):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, x_shape).copy()
 
-    def maker(out, x):
-        def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, x.shape).copy()
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, x.shape).copy()
-
-        return vjp
-
-    return _lift("sum", (a,), fwd, (maker,))
+    return _lift(
+        "sum",
+        (a,),
+        lambda x: (np.sum(x, axis=axis, keepdims=keepdims), (x.shape,)),
+        _per_input(adjoint),
+    )
 
 
 def mean(a, axis=None, keepdims=False):
@@ -394,19 +388,18 @@ def reshape(a, shape):
     return _lift(
         "reshape",
         (a,),
-        lambda x: x.reshape(shape),
-        (lambda out, x: lambda g: g.reshape(x.shape),),
+        lambda x: (x.reshape(shape), (x.shape,)),
+        _per_input(lambda g, x_shape: g.reshape(x_shape)),
     )
 
 
 def transpose(a, axes=None):
-    def maker(out, x):
-        if axes is None:
-            return lambda g: g.T
-        inverse = np.argsort(axes)
-        return lambda g: g.transpose(inverse)
-
-    return _lift("transpose", (a,), lambda x: x.transpose(axes), (maker,))
+    return _lift(
+        "transpose",
+        (a,),
+        lambda x: (x.transpose(axes), ()),
+        _per_input(lambda g: g.T if axes is None else g.transpose(np.argsort(axes))),
+    )
 
 
 def concatenate(parts, axis=0):
@@ -449,31 +442,23 @@ def take(a, indices, axis=0):
     """Gather rows (axis 0) or columns; adjoint scatter-adds duplicates."""
     indices = np.asarray(indices)
 
-    def maker(out, x):
-        def vjp(g):
-            z = np.zeros_like(x)
-            if axis == 0:
-                np.add.at(z, indices, g)
-            else:
-                z_moved = np.moveaxis(z, axis, 0)
-                np.add.at(z_moved, indices, np.moveaxis(g, axis, 0))
-            return z
+    def adjoint(g, x):
+        z = np.zeros_like(x)
+        np.add.at(np.moveaxis(z, axis, 0), indices, np.moveaxis(g, axis, 0))
+        return z
 
-        return vjp
-
-    return _lift("take", (a,), lambda x: np.take(x, indices, axis=axis), (maker,))
+    return _lift(
+        "take", (a,), lambda x: (np.take(x, indices, axis=axis), (x,)), _per_input(adjoint)
+    )
 
 
 def take_slice(a, key):
-    def maker(out, x):
-        def vjp(g):
-            z = np.zeros_like(x)
-            np.add.at(z, key, g)
-            return z
+    def adjoint(g, x):
+        z = np.zeros_like(x)
+        np.add.at(z, key, g)
+        return z
 
-        return vjp
-
-    return _lift("getitem", (a,), lambda x: x[key], (maker,))
+    return _lift("getitem", (a,), lambda x: (x[key], (x,)), _per_input(adjoint))
 
 
 def _segment_sum_sorted(vals: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
@@ -520,15 +505,11 @@ def segment_sum(values, segments, num_segments: int):
     equal that reference, pairwise summation of long runs included.
     """
     segments = np.asarray(segments, dtype=np.int64)
-
-    def maker(out, x):
-        return lambda g: g[segments]
-
     return _lift(
         "segment_sum",
         (values,),
-        lambda x: _segment_sum_sorted(x, segments, num_segments),
-        (maker,),
+        lambda x: (_segment_sum_sorted(x, segments, num_segments), ()),
+        _per_input(lambda g: g[segments]),
     )
 
 

@@ -338,6 +338,10 @@ def cmd_sweep(args) -> int:
         K_list = tuple(int(part) for part in args.K_list.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --K-list: {exc}") from exc
+    for K in K_list:
+        _usage_guard(dataclasses.replace, model_cfg, K=K)
+    if args.seeds < 1:
+        raise UsageError("sweep needs --seeds >= 1")
     data = _task_data(_section(resolved, "data"), model_cfg.task)
     rows, table = graphnet.sweep_kernels(
         model_cfg, K_list, args.seeds, data, _section(resolved, "train")

@@ -22,7 +22,7 @@ results do not depend on how the input happened to be labeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -176,17 +176,8 @@ def hlinear_core(
             ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
         )
 
-    return ad._lift_joint(
+    return ad._lift(
         "hlinear", (x, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
-    )
-
-
-def _derived_cfg(cfg: manifold.ManifoldConfig, dim: int) -> manifold.ManifoldConfig:
-    return manifold.ManifoldConfig(
-        curvature=cfg.curvature,
-        dim=dim,
-        tol_manifold=cfg.tol_manifold,
-        tol_inverse=cfg.tol_inverse,
     )
 
 
@@ -195,7 +186,7 @@ def hlinear(x: manifold.LorentzPoint, p: HLinearParams) -> manifold.LorentzPoint
     if x.cfg.dim != p.in_dim:
         raise DimensionError(f"point dim {x.cfg.dim} != layer in_dim {p.in_dim}")
     out = hlinear_core(x.coords[None, :], *p.values(), x.cfg.curvature)
-    return manifold.LorentzPoint(np.asarray(out)[0], _derived_cfg(x.cfg, p.out_dim))
+    return manifold.LorentzPoint(np.asarray(out)[0], replace(x.cfg, dim=p.out_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,4 +431,4 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
         p.pooling_weights,
         x.cfg.curvature,
     )
-    return manifold.LorentzPoint(np.asarray(out)[0], _derived_cfg(x.cfg, p.out_dim))
+    return manifold.LorentzPoint(np.asarray(out)[0], replace(x.cfg, dim=p.out_dim))

@@ -66,7 +66,7 @@ def _inner_vjps(g, x, y, needs):
 
 def inner(x, y):
     """Row-wise Lorentz inner product along the last axis (one tape op)."""
-    return ad._lift_joint(
+    return ad._lift(
         "inner",
         (x, y),
         lambda a, b: (_inner(a, b), (a, b)),
@@ -91,15 +91,17 @@ def time_normalized(x, kappa: float):
     machine precision after a chain of maps.
     """
 
-    def maker(out, x):
-        def vjp(g):
-            gx = np.zeros_like(x)
-            gx[..., 1:] = _lifted_vjp(g, out, x[..., 1:])
-            return gx
+    def forward(x):
+        out = _lifted(x[..., 1:], kappa)
+        return out, (out, x)
 
-        return vjp
+    def backward(g, saved, needs):
+        out, x = saved
+        gx = np.zeros_like(x)
+        gx[..., 1:] = _lifted_vjp(g, out, x[..., 1:])
+        return (gx,)
 
-    return ad._lift("time_normalized", (x,), lambda x: _lifted(x[..., 1:], kappa), (maker,))
+    return ad._lift("time_normalized", (x,), forward, backward)
 
 
 def _acosh_adjoint(g: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
@@ -124,7 +126,7 @@ def dist(x, y, kappa: float):
         a, b, z = saved
         return _inner_vjps(_acosh_adjoint(g, z, kappa), a, b, needs)
 
-    return ad._lift_joint("dist", (x, y), forward, backward)
+    return ad._lift("dist", (x, y), forward, backward)
 
 
 def cross_dist(x, y, kappa: float):
@@ -142,7 +144,7 @@ def cross_dist(x, y, kappa: float):
         gy = (a.T @ g).T * metric_row(a.shape[-1] - 1) if needs[1] else None
         return gx, gy
 
-    return ad._lift_joint("cross_dist", (x, y), forward, backward)
+    return ad._lift("cross_dist", (x, y), forward, backward)
 
 
 def _cosh_sinhc(phi2):
@@ -199,7 +201,7 @@ def ominus(u, x, kappa: float):
             gx = ad._unbroadcast(gx, x.shape)
         return gu, gx
 
-    return ad._lift_joint("ominus", (u, x), forward, backward)
+    return ad._lift("ominus", (u, x), forward, backward)
 
 
 def embed(z, kappa: float):
@@ -249,7 +251,7 @@ def normalize_timelike(u, kappa: float):
         metric = metric_row(out.shape[-1] - 1)
         return ((g - along[..., None] * (metric * out)) / denom[..., None],)
 
-    return ad._lift_joint("normalize_timelike", (u,), forward, backward)
+    return ad._lift("normalize_timelike", (u,), forward, backward)
 
 
 def poincare_projection(points: np.ndarray, kappa: float) -> np.ndarray:

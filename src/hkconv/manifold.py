@@ -41,21 +41,19 @@ class ManifoldConfig:
     :param dim: spatial dimension n of L^n, at least 1.
     :param curvature: constant negative curvature kappa (default -1).
     :param tol_manifold: allowed violation of |<x,x>_L - 1/kappa|.
-    :param tol_inverse: allowed round-trip error of exp/log pairs.
     """
 
     dim: int
     curvature: float = -1.0
     tol_manifold: float = 1e-9
-    tol_inverse: float = 1e-8
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
             raise ParameterError(f"dim must be a positive integer, got {self.dim}")
         if not self.curvature < 0:
             raise ParameterError(f"curvature must be negative, got {self.curvature}")
-        if self.tol_manifold <= 0 or self.tol_inverse <= 0:
-            raise ParameterError("tolerances must be positive")
+        if self.tol_manifold <= 0:
+            raise ParameterError("tol_manifold must be positive")
 
     @property
     def radius(self) -> float:

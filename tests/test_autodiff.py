@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hkconv import autodiff as ad
+from hkconv import graphnet as gn
 from hkconv import lmath
 from hkconv.errors import BuildError, DimensionError, NumericError
 
@@ -93,6 +94,27 @@ class TestPrimitiveGradients:
 
         assert _fd_max(loss, store) <= 5e-6
 
+    def test_vector_matmuls_and_column_take_match_finite_differences(self, rng):
+        store = ad.ParamStore()
+        store.add("v", rng.standard_normal(4))
+        store.add("M", rng.standard_normal((4, 3)))
+        store.add("u", rng.standard_normal(3))
+
+        def loss(leaves):
+            v, M, u = leaves["v"], leaves["M"], leaves["u"]
+            cols = ad.take(M, np.array([2, 0, 2]), axis=1)
+            out = ad.matmul(ad.matmul(v, cols), u)
+            return out + ad.sum(ad.matmul(M, u)) + ad.matmul(v, v)
+
+        assert _fd_max(loss, store) <= 5e-6
+
+    def test_matmul_records_vector_and_matrix_operands_only(self, rng):
+        batch = rng.standard_normal((2, 3, 4))
+        w = rng.standard_normal((4, 2))
+        np.testing.assert_array_equal(ad.matmul(batch, w), batch @ w)
+        with pytest.raises(BuildError, match="ndim 3 x 2"):
+            ad.matmul(batch, ad.Tensor(w))
+
     def test_reduction_ops_match_finite_differences(self, rng):
         store = ad.ParamStore()
         store.add("v", rng.standard_normal((6, 3)))
@@ -148,7 +170,7 @@ class TestTape:
                 u, v = saved
                 return g * v, g * u
 
-            return ad._lift_joint("product", (x, y), lambda u, v: (u * v, (u, v)), backward)
+            return ad._lift("product", (x, y), lambda u, v: (u * v, (u, v)), backward)
 
         a = ad.Tensor(rng.standard_normal(3))
         b = ad.Tensor(rng.standard_normal(3))
@@ -161,6 +183,27 @@ class TestTape:
         assert calls[1:] == [(True, False)]
         assert set(grads) == {id(a)}
         np.testing.assert_array_equal(product(a.value, b.value), a.value * b.value)
+
+    def test_backward_pass_records_nothing(self, monkeypatch):
+        data = gn.synth_trees_vs_random(60, 12, seed=0)
+        model = gn.build_hkn(
+            gn.HKNConfig(K=2, hidden_dim=5),
+            feature_dim=data.feature_dim,
+            num_classes=data.num_classes,
+        )
+        idx = gn.split_indices(data, "train")
+        logits = gn.forward_logits(model, data, model.store.tensors())
+        tape = ad.Tape(gn._nll(logits, data.labels[idx], idx, model.num_classes))
+        recorded = []
+        lift = ad._lift
+
+        def spy(op, *args):
+            recorded.append(op)
+            return lift(op, *args)
+
+        monkeypatch.setattr(ad, "_lift", spy)
+        assert tape.gradients()
+        assert recorded == []
 
 
 def _lexsort_segment_sum(vals, segments, num_segments):
@@ -358,8 +401,8 @@ def _broadcast_row_loss(leaves):
     rows = ad._lift(
         "broadcast_row",
         (leaves["x"],),
-        lambda x: np.tile(x, (6, 1)),
-        (lambda out, x: lambda g: g,),
+        lambda x: (np.tile(x, (6, 1)), ()),
+        lambda g, saved, needs: (g,),
     )
     return ad.sum(ad.multiply(rows, rows))
 

@@ -452,6 +452,21 @@ class TestTrainEvalSweep:
     def test_bad_K_list_exits_2(self, tmp_path):
         assert main(["sweep", "--K-list", "2,x", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", (["--K-list", "2,10", "--seeds", "1"], ["--K-list", "2", "--seeds", "0"])
+    )
+    def test_bad_K_or_seeds_exit_2_before_loading_data(self, tmp_path, capsys, monkeypatch, flags):
+        def load(cfg):
+            raise AssertionError("sweep loaded data before checking its flags")
+
+        monkeypatch.setattr(graphnet.DataConfig, "load", load)
+        out = tmp_path / "sweep"
+        small = ["--n-graphs", "60", "--nodes-per-graph", "12", "--max-epochs", "4"]
+        assert main(["sweep", *flags, *small, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "sweep.csv").exists()
+
 
 class TestOutputDirResolution:
     def test_env_var_supplies_default_out(self, tmp_path, monkeypatch):

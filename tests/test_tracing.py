@@ -1,0 +1,61 @@
+"""The benchmark's per-layer tracer (bench/tracing.py) against the package:
+it must see every tape op of a gradient pass and leave nothing patched."""
+
+import importlib.util
+from pathlib import Path
+
+import hkconv
+import hkconv.cli  # noqa: F401 - the tracer patches cli.cmd_train
+from hkconv import autodiff as ad
+from hkconv import graphnet as gn
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes(owners) -> dict:
+    return {(owner, name): value for owner in owners for name, value in vars(owner).items()}
+
+
+def test_tracer_counts_every_tape_op_and_restores_the_package():
+    data = gn.synth_trees_vs_random(60, 12, seed=0)
+    model = gn.build_hkn(
+        gn.HKNConfig(K=2, hidden_dim=5), feature_dim=data.feature_dim, num_classes=data.num_classes
+    )
+    idx = gn.split_indices(data, "train")
+    outputs = []
+
+    def loss(leaves):
+        outputs.append(gn._nll(gn.forward_logits(model, data, leaves), data.labels[idx], idx, 2))
+        return outputs[-1]
+
+    owners = (
+        hkconv.autodiff, hkconv.graphnet, hkconv.lmath, hkconv.layers, hkconv.cli,
+        hkconv.kernelgen, hkconv.invariants, ad.Tape, hkconv.manifold.LorentzPoint,
+    )
+    before = _attributes(owners)
+    tracer = _load_tracing().Tracer(hkconv)
+    tracer.install()
+    try:
+        assert ad._lift is not before[(hkconv.autodiff, "_lift")]
+        with tracer.unit():
+            loss(model.store.tensors())
+        forward_calls = dict(tracer.op_calls)
+        ad.grad(loss, model.store)
+    finally:
+        tracer.uninstall()
+
+    ops = [node.op for node in ad.Tape(outputs[-1])._nodes if node.op != "leaf"]
+    # every node's VJPs ran through the tracer, and the backward pass made no op
+    assert set(tracer.op_vjp) == set(ops)
+    assert tracer.op_calls == {op: 2 * n for op, n in forward_calls.items()}
+    assert tracer.metrics({})["autodiff.ops_per_grad"]["value"] == len(ops)
+    after = _attributes(owners)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
