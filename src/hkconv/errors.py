@@ -28,7 +28,8 @@ class DegenerateGeometryError(HkconvError, ValueError):
 
 
 class SolverFailureError(HkconvError, RuntimeError):
-    """Kernel placement diverged. Carries solver diagnostics."""
+    """Kernel placement cannot start: its starting ring is too tight.
+    Carries solver diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

@@ -138,11 +138,7 @@ class GraphBatch:
     @property
     def isolated(self) -> np.ndarray:
         """Nodes with no neighbors (the model gives them a self-fallback)."""
-        degree = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(degree, self.edges[:, 0], 1)
-            np.add.at(degree, self.edges[:, 1], 1)
-        return degree == 0
+        return np.bincount(self.edges.ravel(), minlength=self.num_nodes) == 0
 
 
 def graph_split_indices(num_graphs: int) -> dict:
@@ -260,10 +256,7 @@ def degree_histogram_baseline(batch: GraphBatch) -> float:
     """
     if batch.task != "graph":
         raise ParameterError("the histogram baseline is defined for graph tasks")
-    n = batch.num_nodes
-    degree = np.zeros(n, dtype=np.int64)
-    np.add.at(degree, batch.edges[:, 0], 1)
-    np.add.at(degree, batch.edges[:, 1], 1)
+    degree = np.bincount(batch.edges.ravel(), minlength=batch.num_nodes)
     capped = np.minimum(degree, _DEGREE_CAP)
     g = batch.num_graphs
     hist = np.zeros((g, _DEGREE_CAP + 1))
@@ -332,9 +325,7 @@ def synth_trees_vs_random(n_graphs: int, nodes_per_graph: int, seed: int = 0) ->
             edges = list(zip(*np.nonzero(upper)))
         all_edges.extend((offset + a, offset + b) for a, b in edges)
     edges = np.asarray(all_edges, dtype=np.int64)
-    degree = np.zeros(n_graphs * n, dtype=np.int64)
-    np.add.at(degree, edges[:, 0], 1)
-    np.add.at(degree, edges[:, 1], 1)
+    degree = np.bincount(edges.ravel(), minlength=n_graphs * n)
     features = np.eye(_DEGREE_CAP + 1)[np.minimum(degree, _DEGREE_CAP)]
     batch = GraphBatch(features=features, edges=edges, labels=labels, graph_ids=graph_ids)
     oracle = degree_histogram_baseline(batch)
@@ -541,8 +532,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             drop_masks,
         )
     if cfg.task == "graph":
-        pooled = ad.segment_sum(x, batch.graph_ids, batch.num_graphs)
-        units = lmath.normalize_timelike(pooled, kappa)
+        units = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)
     else:
         units = x
     centroids = lmath.embed(leaves["head.centroids"], kappa)

@@ -31,9 +31,7 @@ from .errors import (
     SolverFailureError,
 )
 
-# pairwise separation below which the solver jitters the later point
-_MIN_SEPARATION = 1e-6
-_JITTER_SCALE = 1e-3
+# ceiling on the starting ring's loss: above it the ring is too tight to place
 _DIVERGENCE_LOSS = 1e6
 # monotone step-search schedule: grow after accepted moves, halve on
 # rejection, and never displace a point further than the cap in one move
@@ -173,16 +171,6 @@ def riemannian_grad(kernels: KernelSet, k: int) -> manifold.TangentVector:
     return manifold.TangentVector(kernels.points[k], rgrads[k])
 
 
-def _tangent_norms(coords: np.ndarray, tangents: np.ndarray, kappa: float) -> np.ndarray:
-    metric = lmath.metric_row(coords.shape[1] - 1)
-    sq = np.sum(tangents * (metric * tangents), axis=1)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _exp_rows(coords: np.ndarray, tangents: np.ndarray, kappa: float) -> np.ndarray:
-    return np.asarray(lmath.exp(coords, tangents, kappa))
-
-
 def _ring_init(
     K: int, m: int, radius: float, kappa: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -236,8 +224,10 @@ def solve_kernels_verbose(
     """Run the placement solver and keep the convergence log.
 
     Returns (kernels, log, converged, iterations) where log is a list of
-    (iteration, loss, max_grad_norm) rows and kernels is the lowest-loss
-    iterate observed.
+    (iteration, loss, max_grad_norm) rows and kernels is the last iterate,
+    the one whose loss the last row records. Raises SolverFailureError
+    before the first iteration when the starting ring's loss exceeds
+    _DIVERGENCE_LOSS.
     """
     if K < 2:
         raise ParameterError("solver needs K >= 2")
@@ -247,6 +237,7 @@ def solve_kernels_verbose(
     if cfg.dim != m:
         raise DimensionError(f"cfg.dim {cfg.dim} != m {m}")
     kappa = cfg.curvature
+    metric = lmath.metric_row(m)
 
     rng = np.random.Generator(np.random.Philox(key=solver.seed))
     # equiangular shell init, randomly rotated per seed. Starting from an
@@ -255,44 +246,29 @@ def solve_kernels_verbose(
     # flow can never push a point onto the origin, where the anchoring term
     # has a gradient kink that would keep grad_tol forever out of reach.
     coords = _ring_init(K, m, solver.init_scale, kappa, rng)
+    # every pair counts twice, so loss >= 2 / d_min (infinite where starting
+    # points coincide); the step search below never raises the loss, so
+    # passing this ceiling once keeps every separation >= 2 / _DIVERGENCE_LOSS
+    with np.errstate(divide="ignore"):
+        loss = _loss_value(coords, kappa)
+    if loss > _DIVERGENCE_LOSS:
+        raise SolverFailureError(
+            f"kernel placement: starting ring too tight (loss {loss:.3g} > "
+            f"{_DIVERGENCE_LOSS:.0g}); raise solver.init_scale",
+            diagnostics={"loss": loss},
+        )
 
-    best_loss = np.inf
-    best_coords = coords.copy()
     log: list[tuple[int, float, float]] = []
-    converged = False
-    iteration = 0
     step = solver.lr
     min_step = solver.lr * 1e-12
-    loss = _loss_value(coords, kappa)
-
     for iteration in range(1, solver.max_iters + 1):
-        _, d = _pairwise_quantities(coords, kappa)
-        # separation guard: jitter the later-indexed point of any near-coincident pair
-        upper = np.triu(d < _MIN_SEPARATION, k=1)
-        if upper.any():
-            for later in np.unique(np.nonzero(upper)[1]):
-                point = manifold.LorentzPoint(coords[later], cfg)
-                jitter = manifold.WrappedNormalParams(
-                    point, _JITTER_SCALE**2 * np.eye(m), solver.seed
-                )
-                coords[later] = manifold.sample_wrapped_normal(jitter, cfg, rng=rng).coords
-            loss = _loss_value(coords, kappa)
-
         grads = _euclidean_grads(coords, kappa)
         rgrads = _to_riemannian(coords, grads, kappa)
-        max_norm = float(np.max(_tangent_norms(coords, rgrads, kappa)))
+        sq_norms = np.sum(rgrads * (metric * rgrads), axis=1)
+        max_norm = float(np.max(np.sqrt(np.maximum(sq_norms, 0.0))))
         log.append((iteration, loss, max_norm))
-
-        if loss > _DIVERGENCE_LOSS:
-            raise SolverFailureError(
-                "kernel placement diverged",
-                diagnostics={"iteration": iteration, "loss": loss, "max_grad_norm": max_norm},
-            )
-        if loss < best_loss:
-            best_loss = loss
-            best_coords = coords.copy()
-        if max_norm <= solver.grad_tol:
-            converged = True
+        converged = max_norm <= solver.grad_tol
+        if converged or iteration == solver.max_iters:
             break
 
         # monotone step search: only loss-non-increasing proposals are
@@ -304,7 +280,7 @@ def solve_kernels_verbose(
             trial = step
             if trial * max_norm > _MAX_DISPLACEMENT:
                 trial = _MAX_DISPLACEMENT / max_norm
-            proposal = _exp_rows(coords, -trial * rgrads, kappa)
+            proposal = np.asarray(lmath.exp(coords, -trial * rgrads, kappa))
             proposal_loss = _loss_value(proposal, kappa)
             if proposal_loss <= loss:
                 coords = proposal
@@ -316,7 +292,7 @@ def solve_kernels_verbose(
         if not accepted:
             break
 
-    points = tuple(manifold.LorentzPoint(row, cfg) for row in best_coords)
+    points = tuple(manifold.LorentzPoint(row, cfg) for row in coords)
     kernels = KernelSet(points, cfg, "optimized")
     return kernels, log, converged, iteration
 

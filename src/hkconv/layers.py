@@ -237,17 +237,19 @@ class CentroidBank:
         return np.stack([c.coords for c in self.centroids])
 
 
-def hcent_core(points, weights, kappa: float):
-    """Weighted centroid of coordinate rows.
+def hcent_core(points, weights, segments: np.ndarray, num_segments: int, kappa: float):
+    """Weighted centroid of each segment of coordinate rows.
 
-    points (N, dim+1), weights (N,). The weighted rows are added in
-    value-sorted order (per column), so any relabeling of the inputs
-    reproduces the result bit for bit; the sum is then normalized by the
-    magnitude of its Lorentz norm to land back on the manifold.
+    points (N, dim+1); weights (N,), or None to weight every row equally;
+    segments (N,) int ids in [0, num_segments). The weighted rows are added
+    in value-sorted order (per column), so any relabeling of the inputs
+    reproduces the result bit for bit; each sum is then normalized by the
+    magnitude of its Lorentz norm to land back on the manifold. Returns
+    (num_segments, dim+1).
     """
-    n = ad.value_of(points).shape[0]
-    u = ad.segment_sum(_as_column(weights) * points, np.zeros(n, dtype=np.int64), 1)
-    return lmath.normalize_timelike(u, kappa)[0]
+    if weights is not None:
+        points = _as_column(weights) * points
+    return lmath.normalize_timelike(ad.segment_sum(points, segments, num_segments), kappa)
 
 
 def hcent(points, nu: WeightVector) -> manifold.LorentzPoint:
@@ -262,8 +264,8 @@ def hcent(points, nu: WeightVector) -> manifold.LorentzPoint:
         if p.cfg.dim != cfg.dim or p.cfg.curvature != cfg.curvature:
             raise DimensionError("centroid input config mismatch")
     coords = np.stack([p.coords for p in points])
-    out = hcent_core(coords, nu.values, cfg.curvature)
-    return manifold.LorentzPoint(np.asarray(out), cfg)
+    out = hcent_core(coords, nu.values, np.zeros(len(points), dtype=np.int64), 1, cfg.curvature)
+    return manifold.LorentzPoint(np.asarray(out)[0], cfg)
 
 
 def hcdist(x: manifold.LorentzPoint, bank: CentroidBank) -> np.ndarray:
@@ -398,14 +400,10 @@ def hkconv_core(
     Returns (num_segments, out_dim+1): one pooled point per segment.
     """
     per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
-    if pooling_weights == "uniform":
-        pooled = ad.segment_sum(per_edge, segments, num_segments)
-    elif pooling_weights == "attention":
+    w = None
+    if pooling_weights == "attention":
         w = attention_weights(center_rows, neighbor_rows, segments, num_segments, kappa)
-        pooled = ad.segment_sum(_as_column(w) * per_edge, segments, num_segments)
-    else:
-        raise ParameterError(f"unknown pooling {pooling_weights!r}")
-    return lmath.normalize_timelike(pooled, kappa)
+    return hcent_core(per_edge, w, segments, num_segments, kappa)
 
 
 def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:

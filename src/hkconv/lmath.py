@@ -105,14 +105,9 @@ def time_normalized(x, kappa: float):
 
 
 def _acosh_adjoint(g: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
-    """Adjoint of <x,y>_L for the adjoint g of acosh(max(kappa <x,y>_L, 1)) / sqrt(-kappa).
-
-    Zero where the argument is within ACOSH_GRAD_GUARD of 1, like
-    ad.arccosh; the clamp is active only there.
-    """
-    safe = z > 1.0 + ad.ACOSH_GRAD_GUARD
-    denom = np.sqrt(np.where(safe, z * z - 1.0, 1.0))
-    return np.where(safe, (g / math.sqrt(-kappa)) / denom, 0.0) * kappa
+    """Adjoint of <x,y>_L for the adjoint g of acosh(max(kappa <x,y>_L, 1)) / sqrt(-kappa):
+    ad.arccosh's guarded adjoint, chained through both scale factors."""
+    return ad._arccosh_adjoint(g / math.sqrt(-kappa), z) * kappa
 
 
 def dist(x, y, kappa: float):

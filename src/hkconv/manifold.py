@@ -337,21 +337,3 @@ def random_tangent(
             return random_tangent(rng, x, norm)
         w = w * (norm / current)
     return TangentVector(x, w)
-
-
-def point_to_dict(x: LorentzPoint) -> dict:
-    """JSON-ready form of a point; float repr round-trips all 64 bits."""
-    return {
-        "curvature": x.cfg.curvature,
-        "dim": x.cfg.dim,
-        "coords": [float(c) for c in x.coords],
-    }
-
-
-def point_from_dict(d: dict, field_name: str = "point") -> LorentzPoint:
-    """Rebuild and re-validate a point serialized by point_to_dict."""
-    try:
-        cfg = ManifoldConfig(dim=int(d["dim"]), curvature=float(d["curvature"]))
-        return LorentzPoint(np.asarray(d["coords"], dtype=np.float64), cfg)
-    except (KeyError, TypeError) as exc:
-        raise DimensionError(f"malformed {field_name} record: {exc}") from exc

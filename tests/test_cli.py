@@ -4,6 +4,7 @@ exit-code contract, config layering, and byte-identical reruns."""
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ class TestKernelGenCommand:
         default = tmp_path / "default"
         assert main([*args, "--out", str(default)]) == 0
         assert _sha(flag / "convergence.csv") != _sha(default / "convergence.csv")
+
+    def test_too_tight_starting_ring_is_one_line_failure(self, tmp_path, capsys):
+        # at init_scale 1e-9 the ring's pairwise distances round to 0
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("solver.init_scale=1e-9\n")
+        args = ["kernel-gen", "--K", "3", "--dim", "2", "--config", str(cfg)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*args, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure:") and "starting ring too tight" in err[0]
 
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["kernel-gen", "--K", "1", "--dim", "2", "--out", str(tmp_path)]) == 2

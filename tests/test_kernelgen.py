@@ -149,12 +149,14 @@ class TestSolver:
         assert first.provenance == "optimized"
 
     def test_accepted_loss_trace_never_increases(self, cfg2):
-        _, log, converged, _ = kg.solve_kernels_verbose(
+        ks, log, converged, _ = kg.solve_kernels_verbose(
             5, 2, kg.SolverConfig(seed=3), cfg2
         )
         assert converged
         losses = np.array([row[1] for row in log])
         assert np.all(np.diff(losses) <= 1e-10)
+        # the returned kernels are the last iterate, whose loss ends the log
+        assert kg.kernel_loss(ks) == log[-1][1]
 
     def test_every_solution_point_is_on_manifold(self, cfg2):
         ks = kg.solve_kernels(6, 2, kg.SolverConfig(seed=2), cfg2)
@@ -164,8 +166,8 @@ class TestSolver:
             assert p.coords[0] > 0
 
     def test_divergent_start_raises_solver_failure(self, cfg2):
-        # a tightly packed ring of 10 points keeps every separation above the
-        # jitter guard while the reciprocal sum exceeds the divergence ceiling
+        # a tightly packed ring of 10 points has distinct points, but its
+        # reciprocal distance sum already exceeds the loss ceiling at the start
         with pytest.raises(SolverFailureError):
             kg.solve_kernels(10, 2, kg.SolverConfig(seed=0, init_scale=2.5e-5), cfg2)
 

@@ -260,11 +260,3 @@ class TestEmbedAndSampling:
             manifold.WrappedNormalParams(o, asym)
         with pytest.raises(ParameterError):
             manifold.WrappedNormalParams(o, -np.eye(3))
-
-    def test_point_serialization_roundtrip(self, cfg3, rng):
-        for _ in range(20):
-            x = manifold.random_point(rng, cfg3)
-            back = manifold.point_from_dict(manifold.point_to_dict(x))
-            np.testing.assert_array_equal(back.coords, x.coords)
-        with pytest.raises(DimensionError):
-            manifold.point_from_dict({"dim": 3})
