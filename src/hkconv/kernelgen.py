@@ -89,8 +89,8 @@ class SolverConfig:
         # written so that NaN fails every check
         if not (self.lr > 0 and self.max_iters > 0 and self.grad_tol > 0):
             raise ParameterError("lr, max_iters and grad_tol must be positive")
-        if not self.init_scale > 0:
-            raise ParameterError("init_scale must be positive")
+        if not 0 < self.init_scale < math.inf:
+            raise ParameterError("init_scale must be positive and finite")
         if self.seed < 0:
             raise ParameterError("seed must be unsigned")
 
@@ -225,9 +225,10 @@ def solve_kernels_verbose(
 
     Returns (kernels, log, converged, iterations) where log is a list of
     (iteration, loss, max_grad_norm) rows and kernels is the last iterate,
-    the one whose loss the last row records. Raises SolverFailureError
-    before the first iteration when the starting ring's loss exceeds
-    _DIVERGENCE_LOSS.
+    the one whose loss the last row records. Before the first iteration it
+    raises ParameterError when the starting ring's radius
+    sqrt(-kappa) * init_scale exceeds lmath.EMBED_MAX_RADIUS, and
+    SolverFailureError when the ring's loss exceeds _DIVERGENCE_LOSS.
     """
     if K < 2:
         raise ParameterError("solver needs K >= 2")
@@ -238,6 +239,13 @@ def solve_kernels_verbose(
         raise DimensionError(f"cfg.dim {cfg.dim} != m {m}")
     kappa = cfg.curvature
     metric = lmath.metric_row(m)
+    radius = math.sqrt(-kappa) * solver.init_scale
+    if radius > lmath.EMBED_MAX_RADIUS:
+        raise ParameterError(
+            f"kernel placement: starting ring radius {radius:.6g} (sqrt(-curvature) * "
+            f"solver.init_scale) exceeds {lmath.EMBED_MAX_RADIUS:g}, the largest radius at "
+            "which Lorentz coordinates keep the manifold constraint; lower solver.init_scale"
+        )
 
     rng = np.random.Generator(np.random.Philox(key=solver.seed))
     # equiangular shell init, randomly rotated per seed. Starting from an

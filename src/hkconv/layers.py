@@ -10,7 +10,11 @@ The building blocks:
 * centroid-distance readout: distances to a bank of reference points,
 * kernel-point convolution: per-kernel feature transforms of each neighbor,
   combined with kernel-proximity weights, then pooled over the neighborhood
-  either uniformly or with distance-based attention.
+  either uniformly or with distance-based attention. The K transforms, the
+  K kernel distances and their weighted sum are one tape node per layer;
+  its backward stacks the K kernels' adjoints side by side, so each
+  adjoint (of the recentred rows, of the weights and gate directions, of
+  the biases) is one matrix product across all kernels.
 
 Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
@@ -117,6 +121,42 @@ def init_hlinear(rng: np.random.Generator, in_dim: int, out_dim: int) -> HLinear
     )
 
 
+def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask):
+    """The gated transform on raw arrays -> (out, (u, norm, gate, sig)): the
+    rows on the manifold and what the backward rule reads."""
+    u = x @ weight.T + bias
+    if drop_mask is not None:
+        u = u * drop_mask
+    norm_sq = np.sum(u * u, axis=-1, keepdims=True)
+    if float(np.min(norm_sq)) < _DEGENERATE_NORM**2:
+        raise DegenerateGeometryError(
+            "gated linear transform: pre-normalization vector has vanishing norm"
+        )
+    gate_logit = np.sum(x * gate_vec, axis=-1, keepdims=True)
+    sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
+    gate = np.exp(log_scale) * sig
+    norm = np.sqrt(norm_sq)
+    out = lmath._lifted(gate / norm * u, kappa)
+    return out, (u, norm, gate, sig)
+
+
+def _gated_backward(g, out, u, norm, gate, sig, drop_mask, g_u=None):
+    """Row adjoints (g_u, g_logit, g_gate) of the gated transform for the
+    adjoint g of its output: g_u of the affine map x @ weight.T + bias
+    (written into the g_u buffer when one is given), g_logit of the gate
+    logit and g_gate of the gate."""
+    g_time, g_spatial = g[..., :1], g[..., 1:]
+    # spatial = gate * u / |u| has norm gate, so the time coordinate
+    # depends on the gate alone and u receives only the spatial adjoint
+    along = np.einsum("...i,...i->...", g_spatial, u)[..., None]
+    g_u = np.multiply(gate / norm, g_spatial - along / (norm * norm) * u, out=g_u)
+    if drop_mask is not None:
+        g_u *= drop_mask
+    g_gate = along / norm + g_time * (gate / out[..., :1])
+    g_logit = g_gate * gate * (1.0 - sig)
+    return g_u, g_logit, g_gate
+
+
 def hlinear_core(
     x,
     weight,
@@ -137,32 +177,15 @@ def hlinear_core(
     """
 
     def forward(x, weight, gate_vec, bias, gate_bias, log_scale):
-        u = x @ weight.T + bias
-        if drop_mask is not None:
-            u = u * drop_mask
-        norm_sq = np.sum(u * u, axis=-1, keepdims=True)
-        if float(np.min(norm_sq)) < _DEGENERATE_NORM**2:
-            raise DegenerateGeometryError(
-                "gated linear transform: pre-normalization vector has vanishing norm"
-            )
-        gate_logit = np.sum(x * gate_vec, axis=-1, keepdims=True)
-        sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
-        gate = np.exp(log_scale) * sig
-        norm = np.sqrt(norm_sq)
-        out = lmath._lifted(gate / norm * u, kappa)
-        return out, (out, x, weight, gate_vec, u, norm, gate, sig)
+        out, kept = _gated_forward(
+            x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask
+        )
+        return out, (out, x, weight, gate_vec, kept)
 
     def backward(g, saved, needs):
-        out, x, weight, gate_vec, u, norm, gate, sig = saved
-        g_time, g_spatial = g[..., :1], g[..., 1:]
-        # spatial = gate * u / |u| has norm gate, so the time coordinate
-        # depends on the gate alone and u receives only the spatial adjoint
-        along = np.einsum("...i,...i->...", g_spatial, u)[..., None]
-        g_u = gate / norm * (g_spatial - along / (norm * norm) * u)
-        if drop_mask is not None:
-            g_u = g_u * drop_mask
-        g_gate = along / norm + g_time * (gate / out[..., :1])
-        g_logit = g_gate * gate * (1.0 - sig)
+        out, x, weight, gate_vec, kept = saved
+        g_u, g_logit, g_gate = _gated_backward(g, out, *kept, drop_mask)
+        gate = kept[2]
         need_x, need_w, need_gv, need_b, need_gb, need_ls = needs
         rows_u = g_u.reshape(-1, g_u.shape[-1])
         rows_x = x.reshape(-1, x.shape[-1])
@@ -327,6 +350,83 @@ def init_hkconv(
     return HKConvParams(sublayers, kernels, pooling_weights)
 
 
+def _kernel_aggregate(feats, sublayers, kernel_rows, kappa: float, drop_masks=None):
+    """sum_k d(feats, kernel_k) * hlinear_k(feats) -> (E, out_dim+1) rows,
+    one tape node for all K kernels.
+
+    feats (E, in_dim+1) recentred rows; sublayers K tuples in PARAM_NAMES
+    order; kernel_rows (K, in_dim+1) constant kernel coordinates. The
+    forward evaluates, kernel by kernel, the expressions of hlinear_core
+    and lmath.dist and adds the weighted terms in kernel order, so its
+    values are those of the per-kernel chain bit for bit. It keeps each
+    kernel's arrays only when the node is recorded. The backward writes
+    each kernel's affine-map, gate-logit, acosh and gate-scale adjoints
+    into column blocks of one (E, K * (out_dim+3)) buffer. One product
+    over that buffer then gives the adjoint of feats, one the adjoints of
+    all weights and gate directions, and one those of all biases and gate
+    biases.
+    """
+    kernel_rows = ad.value_of(kernel_rows)
+    K = kernel_rows.shape[0]
+    if len(sublayers) != K:
+        raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
+    n = len(PARAM_NAMES)
+    masks = [None] * K if drop_masks is None else drop_masks
+    inputs = (feats,) + tuple(p for params in sublayers for p in params)
+    recording = any(isinstance(v, ad.Tensor) for v in inputs)
+
+    def forward(x, *values):
+        aggregate = None
+        kept = []
+        for k in range(K):
+            out, gated = _gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
+            nu, z = lmath._dist(x, kernel_rows[k], kappa)
+            term = nu.reshape(nu.shape + (1,)) * out
+            if aggregate is None:
+                aggregate = term
+            else:
+                aggregate += term
+            if recording:
+                kept.append((out, gated, nu, z))
+        return aggregate, (x, values, kept)
+
+    def backward(g, saved, needs):
+        x, values, kept = saved
+        E, D = g.shape[0], g.shape[1] - 1
+        # column blocks: each kernel's g_u (D columns), then one column per
+        # kernel of gate-logit, acosh and gate-scale adjoints
+        block = np.empty((E, K * (D + 3)))
+        g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
+        for k, (out, gated, nu, z) in enumerate(kept):
+            g_u = block[:, k * D : (k + 1) * D]
+            _, g_logit, g_gate = _gated_backward(g * nu[:, None], out, *gated, masks[k], g_u)
+            g_logits[:, k] = g_logit[:, 0]
+            g_scales[:, k] = (g_gate * gated[2])[:, 0]
+            if needs[0]:
+                g_acosh[:, k] = lmath._acosh_adjoint(np.einsum("ij,ij->i", g, out), z, kappa)
+        g_x = None
+        if needs[0]:
+            metric = lmath.metric_row(kernel_rows.shape[1] - 1)
+            rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
+            g_x = block[:, : K * (D + 2)] @ rows
+        g_params = block[:, : K * (D + 1)].T @ x
+        sums = np.ones(E) @ block[:, : K * (D + 1)]
+        scale_sums = np.ones(E) @ g_scales
+        grads = [g_x]
+        for k in range(K):
+            _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
+            grads += [
+                g_params[k * D : (k + 1) * D],
+                g_params[K * D + k].reshape(gate_vec.shape),
+                sums[k * D : (k + 1) * D].reshape(bias.shape),
+                sums[K * D + k].reshape(np.shape(gate_bias)),
+                scale_sums[k].reshape(np.shape(log_scale)),
+            ]
+        return tuple(grads)
+
+    return ad._lift("kernel_aggregate", inputs, forward, backward)
+
+
 def _edge_points(
     center_rows,
     neighbor_rows,
@@ -339,19 +439,13 @@ def _edge_points(
 
     Each neighbor is recentered at its root by the boost that carries the
     root to the origin (lmath.ominus, one tape node for all edges) and
-    compared against the kernels where they live, around the origin.
+    compared against the kernels where they live, around the origin. The
+    K kernel-weighted transforms are summed by one _kernel_aggregate node,
+    whose backward runs one matrix product per adjoint across the K
+    kernels, and the sum is normalized onto the manifold.
     """
-    K = ad.value_of(kernel_rows).shape[0]
-    if len(sublayers) != K:
-        raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
     feats = lmath.ominus(neighbor_rows, center_rows, kappa)
-    aggregate = None
-    for k in range(K):
-        mask = None if drop_masks is None else drop_masks[k]
-        transformed = hlinear_core(feats, *sublayers[k], kappa, mask)
-        nu = lmath.dist(feats, kernel_rows[k], kappa)
-        term = _as_column(nu) * transformed
-        aggregate = term if aggregate is None else aggregate + term
+    aggregate = _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks)
     return lmath.normalize_timelike(aggregate, kappa)
 
 

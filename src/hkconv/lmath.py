@@ -110,12 +110,18 @@ def _acosh_adjoint(g: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
     return ad._arccosh_adjoint(g / math.sqrt(-kappa), z) * kappa
 
 
+def _dist(a: np.ndarray, b: np.ndarray, kappa: float):
+    """Row-wise distance on raw arrays -> (distance, clamped acosh argument z)."""
+    z = np.maximum(kappa * _inner(a, b), 1.0)
+    return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), z
+
+
 def dist(x, y, kappa: float):
     """Row-wise geodesic distance with the acosh argument clamped to [1, inf)."""
 
     def forward(a, b):
-        z = np.maximum(kappa * _inner(a, b), 1.0)
-        return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), (a, b, z)
+        d, z = _dist(a, b, kappa)
+        return d, (a, b, z)
 
     def backward(g, saved, needs):
         a, b, z = saved

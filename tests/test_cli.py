@@ -110,6 +110,28 @@ class TestKernelGenCommand:
         assert len(err) == 1
         assert err[0].startswith("failure:") and "starting ring too tight" in err[0]
 
+    @pytest.mark.parametrize("scale", ("800", "inf", "20"))
+    def test_too_wide_starting_ring_is_one_line_failure(self, tmp_path, capsys, scale):
+        # radius sqrt(-curvature) * init_scale beyond lmath.EMBED_MAX_RADIUS (11)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(f"solver.init_scale={scale}\n")
+        args = ["kernel-gen", "--K", "3", "--dim", "2", "--config", str(cfg)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*args, "--out", str(tmp_path / "run")])
+        assert code in (1, 2)
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "init_scale" in err[0]
+
+    def test_widest_starting_ring_converges(self, tmp_path):
+        cfg = tmp_path / "widest.cfg"
+        cfg.write_text("solver.init_scale=11\n")
+        args = ["kernel-gen", "--K", "3", "--dim", "2", "--config", str(cfg)]
+        assert main([*args, "--out", str(tmp_path / "run")]) == 0
+
     def test_usage_errors_exit_2(self, tmp_path):
         assert main(["kernel-gen", "--K", "1", "--dim", "2", "--out", str(tmp_path)]) == 2
         assert main(["kernel-gen", "--K", "2", "--dim", "0", "--out", str(tmp_path)]) == 2

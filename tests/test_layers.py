@@ -158,6 +158,103 @@ class TestHLinear:
         assert all(parent.op == "leaf" for parent in out.parents)
 
 
+def _per_kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
+    # the kernel aggregation as the chain of per-kernel tape nodes it fuses
+    aggregate = None
+    for k, params in enumerate(sublayers):
+        mask = None if drop_masks is None else drop_masks[k]
+        transformed = layers.hlinear_core(feats, *params, kappa, mask)
+        nu = lmath.dist(feats, kernel_rows[k], kappa)
+        term = layers._as_column(nu) * transformed
+        aggregate = term if aggregate is None else aggregate + term
+    return aggregate
+
+
+def _aggregation_inputs(rng, K, width, out_dim=16, edges=40, kappa=-0.7):
+    """Recentred rows, kernel rows and K random parameter tuples (PARAM_NAMES order)."""
+    feats = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
+    kernel_rows = lmath.embed(0.5 * rng.standard_normal((K, width - 1)), kappa)
+    sublayers = [
+        (
+            rng.uniform(-0.5, 0.5, size=(out_dim, width)),
+            0.3 * rng.standard_normal(width),
+            0.3 * rng.standard_normal(out_dim),
+            np.asarray(rng.normal(0.0, 0.3)),
+            np.asarray(rng.normal(0.0, 0.3)),
+        )
+        for _ in range(K)
+    ]
+    return feats, kernel_rows, sublayers
+
+
+class TestKernelAggregate:
+    """layers._kernel_aggregate against the per-kernel chain it replaces."""
+
+    kappa = -0.7
+
+    @pytest.mark.parametrize("K", (2, 4, 8, 9))
+    @pytest.mark.parametrize("width", (5, 10, 17))
+    def test_forward_is_bit_identical_to_the_chain(self, rng, K, width):
+        # widths: the first layers of both benchmark workloads and the hidden layer
+        feats, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
+        masks = [(rng.random((len(feats), 16)) < 0.7) / 0.7 for _ in range(K)]
+        for drop in (None, masks):
+            got = layers._kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop)
+            want = _per_kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("recorded_input", (False, True))
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_adjoints_match_the_chain(self, rng, recorded_input, masked):
+        # a constant input is the first conv layer's, a recorded one a later layer's
+        K, width = 3, 10
+        feats, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
+        masks = [(rng.random((len(feats), 16)) < 0.7) / 0.7 for _ in range(K)] if masked else None
+        store = ad.ParamStore()
+        if recorded_input:
+            store.add("feats", feats)
+        for k, params in enumerate(sublayers):
+            for name, value in zip(layers.PARAM_NAMES, params):
+                store.add(f"k{k}.{name}", value)
+        weights = rng.standard_normal((len(feats), 17))
+
+        def loss(fn):
+            def run(leaves):
+                x = leaves["feats"] if recorded_input else feats
+                subs = [
+                    tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
+                    for k in range(K)
+                ]
+                out = fn(x, subs, kernel_rows, self.kappa, masks)
+                if fn is layers._kernel_aggregate:
+                    assert out.op == "kernel_aggregate"
+                    assert all(parent.op == "leaf" for parent in out.parents)
+                return ad.sum(out * weights)
+
+            return run
+
+        got = ad.grad(loss(layers._kernel_aggregate), store)
+        want = ad.grad(loss(_per_kernel_aggregate), store)
+        for path in store.paths():
+            assert got[path].shape == want[path].shape, path
+            scale = np.max(np.abs(want[path]))
+            assert scale > 0, path
+            assert np.max(np.abs(got[path] - want[path])) <= 1e-12 * scale, path
+
+    def test_vanishing_prenorm_vector_of_one_kernel_is_degenerate(self, rng):
+        feats, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)
+        weight = np.ones((16, 5))
+        # the second kernel's bias cancels its affine map at the first row
+        zero = np.asarray(0.0)
+        sublayers[1] = (weight, np.zeros(5), -(weight @ feats[0]), zero, zero)
+        with pytest.raises(DegenerateGeometryError):
+            layers._kernel_aggregate(feats, sublayers, kernel_rows, self.kappa)
+        store = ad.ParamStore()
+        store.add("feats", feats)
+        with pytest.raises(DegenerateGeometryError):
+            layers._kernel_aggregate(store.tensors()["feats"], sublayers, kernel_rows, self.kappa)
+
+
 class TestHCent:
     def test_matches_naive_weighted_sum(self, cfg3, rng):
         pts = [manifold.random_point(rng, cfg3) for _ in range(6)]
