@@ -30,6 +30,7 @@ Design points:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Callable
 
@@ -443,9 +444,18 @@ def take(a, indices, axis=0):
     indices = np.asarray(indices)
 
     def adjoint(g, x):
-        z = np.zeros_like(x)
-        np.add.at(np.moveaxis(z, axis, 0), indices, np.moveaxis(g, axis, 0))
-        return z
+        # one bincount over (row, column) cells adds each cell's terms in
+        # index order from 0.0, as np.add.at into zeros does, bit for bit
+        rows = np.moveaxis(x, axis, 0).shape
+        n, width = rows[0], math.prod(rows[1:])
+        idx = np.where(indices < 0, indices + n, indices).reshape(-1, 1)
+        g_rows = np.moveaxis(g, range(axis, axis + indices.ndim), range(indices.ndim))
+        z = np.bincount(
+            (idx * width + np.arange(width)).ravel(),
+            weights=g_rows.reshape(-1),
+            minlength=n * width,
+        )
+        return np.moveaxis(z.reshape(rows), 0, axis)
 
     return _lift(
         "take", (a,), lambda x: (np.take(x, indices, axis=axis), (x,)), _per_input(adjoint)

@@ -584,6 +584,10 @@ def evaluate(model: HKN, data: GraphBatch, split: str) -> Metrics:
     return Metrics(accuracy=acc, macro_f1=f1, loss=loss)
 
 
+class _PatienceOut(Exception):
+    """Leaves a gradient pass before its backward once patience runs out."""
+
+
 def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metrics:
     """Full-batch Adam with early stopping on validation accuracy.
 
@@ -591,6 +595,16 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
     three splits each epoch, restores the best-validation parameters when
     done, and returns that model's test metrics with the history attached.
     Aborts with diagnostics if the loss turns non-finite.
+
+    Epoch t is scored on the parameters after its Adam step. Without
+    dropout the recorded forward of step t+1 runs on exactly those
+    parameters, so its logit values score epoch t: the loss function books
+    the rows, the best-parameter snapshot and the patience decision right
+    after that forward, before the loss is checked, and leaves the
+    gradient pass without a backward once patience runs out. Only the last
+    epoch under max_epochs takes a no-tape forward of its own. With dropout
+    the recorded forward draws masks, so each epoch is scored by a no-tape
+    forward after its step.
     """
     cfg = cfg or TrainConfig()
     mcfg = model.cfg
@@ -599,30 +613,15 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
         raise ParameterError("empty training split")
     labels_idx = data.labels[train_idx]
     drop_rng = np.random.Generator(np.random.Philox(key=mcfg.seed).jumped(1))
+    scored_apart = mcfg.dropout > 0.0
 
     history = []
     best = {"val_acc": -1.0, "epoch": -1, "params": None}
     stale = 0
-    for epoch in range(cfg.max_epochs):
-        holder = {}
 
-        def loss_fn(leaves):
-            logits = forward_logits(model, data, leaves, training=True, rng=drop_rng)
-            loss = _nll(logits, labels_idx, train_idx, model.num_classes)
-            holder["loss"] = float(ad.value_of(loss))
-            return loss
-
-        try:
-            grads = ad.grad(loss_fn, model.store)
-        except NumericError as exc:
-            raise NumericError(
-                f"training aborted at epoch {epoch}: {exc}", op_path=exc.op_path
-            ) from exc
-        if not np.isfinite(holder["loss"]):
-            raise NumericError(f"non-finite loss {holder['loss']} at epoch {epoch}")
-        ad.adam_step(model.store, grads, mcfg.lr, weight_decay=mcfg.weight_decay)
-
-        logits = np.asarray(forward_logits(model, data))
+    def book(epoch: int, logits: np.ndarray) -> bool:
+        """History rows, best snapshot and patience for epoch; True to stop."""
+        nonlocal best, stale
         epoch_stats = {}
         for split in SPLITS:
             acc, f1, loss = _split_metrics(logits, data, split)
@@ -638,12 +637,36 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
                 "epoch": epoch,
                 "params": {p: v.copy() for p, v in model.store.items()},
             }
-        if improved:
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+        stale = 0 if improved else stale + 1
+        return stale >= cfg.patience
+
+    for epoch in range(cfg.max_epochs):
+        holder = {}
+
+        def loss_fn(leaves):
+            logits = forward_logits(model, data, leaves, training=True, rng=drop_rng)
+            if not scored_apart and epoch > 0 and book(epoch - 1, ad.value_of(logits)):
+                raise _PatienceOut
+            loss = _nll(logits, labels_idx, train_idx, model.num_classes)
+            holder["loss"] = float(ad.value_of(loss))
+            return loss
+
+        try:
+            grads = ad.grad(loss_fn, model.store)
+        except _PatienceOut:
+            break
+        except NumericError as exc:
+            raise NumericError(
+                f"training aborted at epoch {epoch}: {exc}", op_path=exc.op_path
+            ) from exc
+        if not np.isfinite(holder["loss"]):
+            raise NumericError(f"non-finite loss {holder['loss']} at epoch {epoch}")
+        ad.adam_step(model.store, grads, mcfg.lr, weight_decay=mcfg.weight_decay)
+        if scored_apart and book(epoch, np.asarray(forward_logits(model, data))):
+            break
+    else:
+        if not scored_apart:
+            book(cfg.max_epochs - 1, np.asarray(forward_logits(model, data)))
 
     for path, value in best["params"].items():
         model.store.set_(path, value)

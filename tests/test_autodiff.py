@@ -333,6 +333,64 @@ class TestSegmentSum:
         np.testing.assert_array_equal(grads["a"], expected)
 
 
+def _add_at_adjoint(g, shape, indices, axis):
+    """The reference scatter for take's adjoint: np.add.at into zeros."""
+    z = np.zeros(shape)
+    np.add.at(np.moveaxis(z, axis, 0), indices, np.moveaxis(g, axis, 0))
+    return z
+
+
+class TestTakeAdjoint:
+    def _adjoint(self, x, indices, axis, g):
+        out = ad.take(ad.Tensor(x), indices, axis=axis)
+        assert out.shape == g.shape
+        (vjp,) = out.vjps
+        return vjp(g)
+
+    def _assert_matches_add_at(self, x, indices, axis, g):
+        with np.errstate(invalid="ignore"):
+            out = self._adjoint(x, indices, axis, g)
+            ref = _add_at_adjoint(g, x.shape, indices, axis)
+        # every non-NaN bit, signed zeros included; a NaN's sign and payload
+        # depend on the order the hardware takes a NaN sum's operands in
+        _assert_same_bits(out, ref)
+
+    def _with_specials(self, rng, shape):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        pick = rng.random(shape)
+        g[pick < 0.15] = -0.0
+        g[(pick >= 0.15) & (pick < 0.25)] = 0.0
+        g[(pick >= 0.25) & (pick < 0.3)] = np.inf
+        g[(pick >= 0.3) & (pick < 0.35)] = -np.inf
+        g[pick > 0.95] = np.nan
+        return g
+
+    @pytest.mark.parametrize(
+        "shape, axis", [((7,), 0), ((7, 5), 0), ((4, 7), 1), ((3, 7, 2), 1), ((3, 2, 7), 2)]
+    )
+    def test_bits_match_add_at_on_a_hand_index(self, rng, shape, axis):
+        n = shape[axis]
+        # rows 0, 3 and 6 repeat (6 also as -1), -n wraps to 0, rows 4 and 5
+        # are never read
+        indices = np.array([0, 3, 3, 1, -1, 0, 3, -n, 2, n - 1, 3])
+        x = rng.standard_normal(shape)
+        g = self._with_specials(rng, np.take(x, indices, axis=axis).shape)
+        self._assert_matches_add_at(x, indices, axis, g)
+
+    def test_bits_match_add_at_on_edge_gathers(self, rng):
+        # the model's shape: one row per edge end gathered from node rows
+        x = rng.standard_normal((300, 17))
+        indices = np.sort(rng.integers(-300, 290, size=900))
+        self._assert_matches_add_at(x, indices, 0, self._with_specials(rng, (900, 17)))
+
+    def test_signed_zero_rows_sum_to_positive_zero(self):
+        # np.add.at starts from +0.0, so a row fed only -0.0 ends at +0.0
+        x = np.zeros((3, 2))
+        g = np.full((4, 2), -0.0)
+        out = self._adjoint(x, np.array([1, 1, 2, -1]), 0, g)
+        np.testing.assert_array_equal(out.view(np.uint64), np.zeros((3, 2)).view(np.uint64))
+
+
 class TestLogSoftmax:
     def test_rows_normalize(self, rng):
         a = rng.standard_normal((5, 7))

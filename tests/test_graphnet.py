@@ -347,8 +347,114 @@ class TestTraining:
         poisoned.flat[0] = np.nan
         model.store.set_(path, poisoned)
         with np.errstate(all="ignore"):
-            with pytest.raises(NumericError):
+            with pytest.raises(NumericError) as info:
                 gn.train(model, batch, gn.TrainConfig(max_epochs=2))
+        assert str(info.value) == "training aborted at epoch 0: loss evaluated to NaN"
+
+    def test_parameters_blown_up_by_the_first_step_abort_at_epoch_one(self):
+        # an Adam step moves every parameter by about lr, so the second
+        # forward overflows and its loss is NaN
+        batch = _small_batch()
+        model = gn.build_hkn(gn.HKNConfig(lr=1e30), feature_dim=9, num_classes=2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as info:
+                gn.train(model, batch, gn.TrainConfig(max_epochs=4))
+        assert str(info.value) == "training aborted at epoch 1: loss evaluated to NaN"
+
+
+def _two_forward_train(model, data, cfg):
+    """The training loop that scores every epoch with a no-tape forward
+    after its Adam step, as train did before it read the scores off the
+    next step's recorded forward: the oracle for history, best epoch and
+    parameters. Returns (history, best_epoch)."""
+    mcfg = model.cfg
+    train_idx = gn.split_indices(data, "train")
+    labels_idx = data.labels[train_idx]
+    drop_rng = np.random.Generator(np.random.Philox(key=mcfg.seed).jumped(1))
+    history = []
+    best = {"val_acc": -1.0, "epoch": -1, "params": None}
+    stale = 0
+    for epoch in range(cfg.max_epochs):
+
+        def loss_fn(leaves):
+            logits = gn.forward_logits(model, data, leaves, training=True, rng=drop_rng)
+            return gn._nll(logits, labels_idx, train_idx, model.num_classes)
+
+        grads = ad.grad(loss_fn, model.store)
+        ad.adam_step(model.store, grads, mcfg.lr, weight_decay=mcfg.weight_decay)
+        logits = np.asarray(gn.forward_logits(model, data))
+        stats = {}
+        for split in gn.SPLITS:
+            acc, f1, loss = gn._split_metrics(logits, data, split)
+            stats[split] = acc
+            history.append((epoch, split, loss, acc, f1))
+        improved = stats["val"] > best["val_acc"]
+        if stats["val"] >= best["val_acc"]:
+            best = {
+                "val_acc": stats["val"],
+                "epoch": epoch,
+                "params": {p: v.copy() for p, v in model.store.items()},
+            }
+        stale = 0 if improved else stale + 1
+        if stale >= cfg.patience:
+            break
+    for path, value in best["params"].items():
+        model.store.set_(path, value)
+    return history, best["epoch"]
+
+
+class TestOneForwardPerEpoch:
+    # run -> (model config, train config, epochs the run trains)
+    RUNS = {
+        "patience": (
+            gn.HKNConfig(K=2, hidden_dim=5), gn.TrainConfig(max_epochs=30, patience=4), 13
+        ),
+        "max_epochs": (gn.HKNConfig(K=2, hidden_dim=5), gn.TrainConfig(max_epochs=8), 8),
+        "dropout": (
+            gn.HKNConfig(K=3, dropout=0.3), gn.TrainConfig(max_epochs=10, patience=3), 8
+        ),
+    }
+
+    def _build(self, mcfg):
+        return gn.build_hkn(mcfg, feature_dim=9, num_classes=2)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_matches_the_two_forward_loop_bitwise(self, run):
+        mcfg, tcfg, epochs = self.RUNS[run]
+        batch = _small_batch()
+        model, oracle = self._build(mcfg), self._build(mcfg)
+        metrics = gn.train(model, batch, tcfg)
+        history, best_epoch = _two_forward_train(oracle, batch, tcfg)
+        assert history[-1][0] + 1 == epochs
+        assert metrics.history == history
+        assert model.best_epoch == best_epoch
+        for path, value in oracle.store.items():
+            np.testing.assert_array_equal(model.store[path].view(np.uint64), value.view(np.uint64))
+        again = gn.evaluate(oracle, batch, "test")
+        assert (metrics.accuracy, metrics.macro_f1, metrics.loss) == (
+            again.accuracy, again.macro_f1, again.loss
+        )
+
+    @pytest.mark.parametrize("run", ["patience", "max_epochs"])
+    def test_one_forward_per_epoch_without_dropout(self, run, monkeypatch):
+        mcfg, tcfg, epochs = self.RUNS[run]
+        inner = gn.forward_logits
+        calls = {"recorded": 0, "no_tape": 0}
+
+        def counted(model, batch, leaves=None, training=False, rng=None):
+            calls["no_tape" if leaves is None else "recorded"] += 1
+            return inner(model, batch, leaves, training, rng)
+
+        monkeypatch.setattr(gn, "forward_logits", counted)
+        metrics = gn.train(self._build(mcfg), _small_batch(), tcfg)
+        assert metrics.history[-1][0] + 1 == epochs
+        if run == "patience":
+            # the recorded forward after the last scored epoch ends the run
+            # before its backward; only the final test evaluate runs apart
+            assert calls == {"recorded": epochs + 1, "no_tape": 1}
+        else:
+            # the last epoch has no next step to score it
+            assert calls == {"recorded": epochs, "no_tape": 2}
 
 
 class TestCheckpointsAndCSV:

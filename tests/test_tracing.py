@@ -10,6 +10,11 @@ from hkconv import autodiff as ad
 from hkconv import graphnet as gn
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+# everything the tracer patches
+OWNERS = (
+    hkconv.autodiff, hkconv.graphnet, hkconv.lmath, hkconv.layers, hkconv.cli,
+    hkconv.kernelgen, hkconv.invariants, ad.Tape, hkconv.manifold.LorentzPoint,
+)
 
 
 def _load_tracing():
@@ -35,11 +40,7 @@ def test_tracer_counts_every_tape_op_and_restores_the_package():
         outputs.append(gn._nll(gn.forward_logits(model, data, leaves), data.labels[idx], idx, 2))
         return outputs[-1]
 
-    owners = (
-        hkconv.autodiff, hkconv.graphnet, hkconv.lmath, hkconv.layers, hkconv.cli,
-        hkconv.kernelgen, hkconv.invariants, ad.Tape, hkconv.manifold.LorentzPoint,
-    )
-    before = _attributes(owners)
+    before = _attributes(OWNERS)
     tracer = _load_tracing().Tracer(hkconv)
     tracer.install()
     try:
@@ -62,6 +63,32 @@ def test_tracer_counts_every_tape_op_and_restores_the_package():
     assert tracer.op_vjp["kernel_aggregate"] > 0
     assert metrics["model.conv1.combine.fwd_ms"]["value"] > 0
     assert metrics["model.conv1.combine.bwd_ms"]["value"] > 0
-    after = _attributes(owners)
+    after = _attributes(OWNERS)
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_counts_one_unit_per_training_step():
+    data = gn.synth_trees_vs_random(60, 12, seed=0)
+    model = gn.build_hkn(
+        gn.HKNConfig(K=2, hidden_dim=5), feature_dim=data.feature_dim, num_classes=data.num_classes
+    )
+    before = _attributes(OWNERS)
+    tracer = _load_tracing().Tracer(hkconv)
+    tracer.install()
+    try:
+        metrics = gn.train(model, data, gn.TrainConfig(max_epochs=3))
+    finally:
+        tracer.uninstall()
+
+    assert metrics.history[-1][0] == 2
+    # each step's forward is recorded inside its gradient pass, and epochs
+    # 0 and 1 are scored from the next step's recorded forward
+    assert tracer.units == 3
+    assert len(tracer.tape_sizes) == 3
+    assert len(tracer.spans["autodiff.record"]) == 3
+    # only the last epoch's score and the test evaluate run apart
+    assert len(tracer.spans["graphnet.forward"]) == 2
+    after = _attributes(OWNERS)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
