@@ -25,7 +25,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import graphnet, kernelgen, layers, lmath, manifold
 from .errors import ParameterError
 
@@ -339,27 +338,28 @@ def run_prop1(trials: int, seed: int = 0) -> list:
 def corrupted_recentering():
     """Deliberately damage the recentering step (self-test hook).
 
-    The replacement adds a drift proportional to the root's time coordinate
-    to the spatial part of lmath.ominus and lifts the result back onto the
-    manifold. A constant drift would be the same map for the original and
-    the translated neighborhood, so the damage must depend on where the
-    root sits; outputs remain valid points and the theorem1 suite must
-    catch the broken invariance.
+    The replacement wraps lmath._boost, the boost that lmath.ominus and
+    the conv layers' edge node share: it adds to the last spatial
+    coordinate of each recentred row a drift proportional to its root's
+    time coordinate, and lifts the result back onto the manifold. A
+    constant drift would be the same map for the original and the
+    translated neighborhood, so the damage must depend on where the root
+    sits; outputs remain valid points and the theorem1 suite must catch
+    the broken invariance.
     """
-    original = lmath.ominus
+    original = lmath._boost
 
     def damaged(u, x, kappa):
-        moved = ad.value_of(original(u, x, kappa))
-        x_val = np.atleast_2d(ad.value_of(x))
-        drift = np.zeros(moved.shape[-1] - 1)
-        drift[-1] = 0.05 * float(np.max(x_val[:, 0]))
-        return lmath._lifted(moved[..., 1:] + drift, kappa)
+        moved, kept = original(u, x, kappa)
+        spatial = moved[..., 1:].copy()
+        spatial[..., -1:] += 0.05 * x[..., :1]
+        return lmath._lifted(spatial, kappa), kept
 
-    lmath.ominus = damaged
+    lmath._boost = damaged
     try:
         yield
     finally:
-        lmath.ominus = original
+        lmath._boost = original
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0, mutate: str | None = None) -> list:

@@ -8,13 +8,18 @@ The building blocks:
 * weighted centroid: a Lorentz-norm normalized weighted sum, the
   aggregation used everywhere points must be combined,
 * centroid-distance readout: distances to a bank of reference points,
-* kernel-point convolution: per-kernel feature transforms of each neighbor,
-  combined with kernel-proximity weights, then pooled over the neighborhood
-  either uniformly or with distance-based attention. The K transforms, the
-  K kernel distances and their weighted sum are one tape node per layer;
-  its backward stacks the K kernels' adjoints side by side, so each
-  adjoint (of the recentred rows, of the weights and gate directions, of
-  the biases) is one matrix product across all kernels.
+* kernel-point convolution: each neighbor recentred at its root, then
+  per-kernel feature transforms of it combined with kernel-proximity
+  weights and normalized onto the manifold, then pooled over the
+  neighborhood either uniformly or with distance-based attention. The
+  recentering, the K transforms, the K kernel distances, their weighted
+  sum and its normalization are one tape node per layer (_edge_points).
+  It works on tiles of at most TILE_ROWS edges and keeps, for the
+  backward, only the kernels' pre-normalization vectors and per-row
+  scalars; the backward recomputes the rest tile by tile and stacks the
+  K kernels' adjoints side by side, so each adjoint (of the recentred
+  rows, of the weights and gate directions, of the biases) is one
+  full-height matrix product across all kernels.
 
 Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
@@ -43,6 +48,10 @@ POOLINGS = ("uniform", "attention")
 
 # norm of the pre-normalization vector below which the gated map is undefined
 _DEGENERATE_NORM = 1e-12
+
+# most edge rows _edge_points works on at once; a tile's (rows x 17)
+# float64 temporaries are then about 140 KB each
+TILE_ROWS = 1024
 
 
 def _as_column(w):
@@ -122,8 +131,9 @@ def init_hlinear(rng: np.random.Generator, in_dim: int, out_dim: int) -> HLinear
 
 
 def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask):
-    """The gated transform on raw arrays -> (out, (u, norm, gate, sig)): the
-    rows on the manifold and what the backward rule reads."""
+    """The gated transform on raw arrays -> (spatial, (u, norm, gate, sig,
+    time)): the spatial part of the rows on the manifold and what the
+    backward rule reads, whose last entry is the rows' time column."""
     u = x @ weight.T + bias
     if drop_mask is not None:
         u = u * drop_mask
@@ -136,11 +146,11 @@ def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_
     sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
     gate = np.exp(log_scale) * sig
     norm = np.sqrt(norm_sq)
-    out = lmath._lifted(gate / norm * u, kappa)
-    return out, (u, norm, gate, sig)
+    spatial = gate / norm * u
+    return spatial, (u, norm, gate, sig, lmath._time(spatial, kappa))
 
 
-def _gated_backward(g, out, u, norm, gate, sig, drop_mask, g_u=None):
+def _gated_backward(g, u, norm, gate, sig, time, drop_mask, g_u=None):
     """Row adjoints (g_u, g_logit, g_gate) of the gated transform for the
     adjoint g of its output: g_u of the affine map x @ weight.T + bias
     (written into the g_u buffer when one is given), g_logit of the gate
@@ -152,7 +162,7 @@ def _gated_backward(g, out, u, norm, gate, sig, drop_mask, g_u=None):
     g_u = np.multiply(gate / norm, g_spatial - along / (norm * norm) * u, out=g_u)
     if drop_mask is not None:
         g_u *= drop_mask
-    g_gate = along / norm + g_time * (gate / out[..., :1])
+    g_gate = along / norm + g_time * (gate / time)
     g_logit = g_gate * gate * (1.0 - sig)
     return g_u, g_logit, g_gate
 
@@ -173,18 +183,18 @@ def hlinear_core(
     autodiff tensors. drop_mask, when given, multiplies the
     pre-normalization vector (inverted-dropout masks come pre-scaled).
     The map is one tape op; its backward rule uses the pre-normalization
-    vector u, its norm and the gate kept by the forward.
+    vector u, its norm, the gate and the time column kept by the forward.
     """
 
     def forward(x, weight, gate_vec, bias, gate_bias, log_scale):
-        out, kept = _gated_forward(
+        spatial, kept = _gated_forward(
             x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask
         )
-        return out, (out, x, weight, gate_vec, kept)
+        return np.concatenate([kept[-1], spatial], axis=-1), (x, weight, gate_vec, kept)
 
     def backward(g, saved, needs):
-        out, x, weight, gate_vec, kept = saved
-        g_u, g_logit, g_gate = _gated_backward(g, out, *kept, drop_mask)
+        x, weight, gate_vec, kept = saved
+        g_u, g_logit, g_gate = _gated_backward(g, *kept, drop_mask)
         gate = kept[2]
         need_x, need_w, need_gv, need_b, need_gb, need_ls = needs
         rows_u = g_u.reshape(-1, g_u.shape[-1])
@@ -350,21 +360,50 @@ def init_hkconv(
     return HKConvParams(sublayers, kernels, pooling_weights)
 
 
-def _kernel_aggregate(feats, sublayers, kernel_rows, kappa: float, drop_masks=None):
-    """sum_k d(feats, kernel_k) * hlinear_k(feats) -> (E, out_dim+1) rows,
+def _tiles(n: int) -> list:
+    """Row slices of at most TILE_ROWS rows covering range(n), of balanced
+    sizes, so no tile has a single row unless n == 1: NumPy multiplies a
+    one-row tile as a matrix-vector product, whose rounding differs from
+    that of a matrix product."""
+    count = -(-n // TILE_ROWS)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _edge_points(
+    center_rows,
+    neighbor_rows,
+    sublayers,
+    kernel_rows,
+    kappa: float,
+    drop_masks=None,
+):
+    """Per-edge kernel aggregation -> (E, out_dim+1) points on the manifold,
     one tape node for all K kernels.
 
-    feats (E, in_dim+1) recentred rows; sublayers K tuples in PARAM_NAMES
-    order; kernel_rows (K, in_dim+1) constant kernel coordinates. The
-    forward evaluates, kernel by kernel, the expressions of hlinear_core
-    and lmath.dist and adds the weighted terms in kernel order, so its
-    values are those of the per-kernel chain bit for bit. It keeps each
-    kernel's arrays only when the node is recorded. The backward writes
-    each kernel's affine-map, gate-logit, acosh and gate-scale adjoints
-    into column blocks of one (E, K * (out_dim+3)) buffer. One product
-    over that buffer then gives the adjoint of feats, one the adjoints of
-    all weights and gate directions, and one those of all biases and gate
-    biases.
+    center_rows / neighbor_rows (E, in_dim+1) rows; sublayers K tuples in
+    PARAM_NAMES order; kernel_rows (K, in_dim+1) constant kernel
+    coordinates. Each neighbor is recentered at its root by the boost that
+    carries the root to the origin (lmath._boost, the map of lmath.ominus)
+    and compared against the kernels where they live, around the origin.
+    The K gated transforms, weighted by kernel distance, are summed in
+    kernel order and the sum is normalized onto the manifold
+    (lmath._normalized). The forward walks tiles of at most TILE_ROWS
+    rows and evaluates the expressions of lmath.ominus, hlinear_core,
+    lmath.dist and lmath.normalize_timelike on each, so its values are
+    those of that chain bit for bit.
+
+    A recorded node keeps the inputs, the output and per-tile rows of
+    each kernel's pre-normalization vectors u, plus per-row scalars; the
+    recentred rows, the kernels' transformed rows and their sum are
+    recomputed by the backward. The backward writes each kernel's
+    affine-map, gate-logit, acosh and gate-scale adjoints, tile by tile,
+    into column blocks of one (E, K * (out_dim+3)) buffer. One full-height
+    product over that buffer then gives the adjoint of the recentred
+    rows, one the adjoints of all weights and gate directions, and one
+    those of all biases and gate biases. The recentred rows' adjoint, and
+    the kernel terms only it needs, are computed only when the root or
+    neighbor rows are recorded (not in the first conv layer).
     """
     kernel_rows = ad.value_of(kernel_rows)
     K = kernel_rows.shape[0]
@@ -372,47 +411,83 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa: float, drop_masks=No
         raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
     n = len(PARAM_NAMES)
     masks = [None] * K if drop_masks is None else drop_masks
-    inputs = (feats,) + tuple(p for params in sublayers for p in params)
+    inputs = (neighbor_rows, center_rows) + tuple(p for params in sublayers for p in params)
     recording = any(isinstance(v, ad.Tensor) for v in inputs)
 
-    def forward(x, *values):
-        aggregate = None
-        kept = []
-        for k in range(K):
-            out, gated = _gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
-            nu, z = lmath._dist(x, kernel_rows[k], kappa)
-            term = nu.reshape(nu.shape + (1,)) * out
-            if aggregate is None:
-                aggregate = term
-            else:
-                aggregate += term
+    def forward(nbr, ctr, *values):
+        points = np.empty((len(nbr), values[0].shape[0] + 1))
+        tiles = []
+        for rows in _tiles(len(nbr)):
+            feats, boost = lmath._boost(nbr[rows], ctr[rows], kappa)
+            kept = []
+            for k in range(K):
+                mask = None if masks[k] is None else masks[k][rows]
+                spatial, gated = _gated_forward(feats, *values[n * k : n * (k + 1)], kappa, mask)
+                nu, z = lmath._dist(feats, kernel_rows[k], kappa)
+                # the weighted rows nu * (time, spatial), added in kernel order
+                nu_col = nu[:, None]
+                if k == 0:
+                    time_sum, spatial_sum = nu_col * gated[-1], nu_col * spatial
+                else:
+                    time_sum += nu_col * gated[-1]
+                    spatial_sum += nu_col * spatial
+                kept.append((gated, nu, z))
+            aggregate = np.concatenate([time_sum, spatial_sum], axis=-1)
+            normed, normal = lmath._normalized(aggregate, kappa)
+            points[rows] = normed
             if recording:
-                kept.append((out, gated, nu, z))
-        return aggregate, (x, values, kept)
+                tiles.append((rows, boost, kept, normal))
+        return points, (nbr, ctr, values, points, tiles)
 
-    def backward(g, saved, needs):
-        x, values, kept = saved
+    def adjoint_block(g, points, tiles, need_rows):
+        """Row adjoints in column blocks of one (E, K * (out_dim+3)) array:
+        each kernel's g_u (out_dim columns), then one column per kernel of
+        gate-logit, acosh and gate-scale adjoints (acosh only for
+        need_rows)."""
         E, D = g.shape[0], g.shape[1] - 1
-        # column blocks: each kernel's g_u (D columns), then one column per
-        # kernel of gate-logit, acosh and gate-scale adjoints
         block = np.empty((E, K * (D + 3)))
         g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
-        for k, (out, gated, nu, z) in enumerate(kept):
-            g_u = block[:, k * D : (k + 1) * D]
-            _, g_logit, g_gate = _gated_backward(g * nu[:, None], out, *gated, masks[k], g_u)
-            g_logits[:, k] = g_logit[:, 0]
-            g_scales[:, k] = (g_gate * gated[2])[:, 0]
-            if needs[0]:
-                g_acosh[:, k] = lmath._acosh_adjoint(np.einsum("ij,ij->i", g, out), z, kappa)
-        g_x = None
-        if needs[0]:
-            metric = lmath.metric_row(kernel_rows.shape[1] - 1)
-            rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
-            g_x = block[:, : K * (D + 2)] @ rows
-        g_params = block[:, : K * (D + 1)].T @ x
+        if need_rows:
+            lifted = np.empty((max(rows.stop - rows.start for rows, *_ in tiles), D + 1))
+        for rows, _, kept, normal in tiles:
+            g_sum = lmath._normalized_backward(g[rows], points[rows], *normal, kappa)
+            for k, (gated, nu, z) in enumerate(kept):
+                u, norm, gate, _, time = gated
+                mask = None if masks[k] is None else masks[k][rows]
+                g_logit, g_gate = _gated_backward(
+                    g_sum * nu[:, None], *gated, mask, block[rows, k * D : (k + 1) * D]
+                )[1:]
+                g_logits[rows, k] = g_logit[:, 0]
+                g_scales[rows, k] = (g_gate * gate)[:, 0]
+                if need_rows:
+                    # the kernel's transformed rows, rebuilt as the forward made them
+                    out = lifted[: len(u)]
+                    out[:, :1] = time
+                    np.multiply(gate / norm, u, out=out[:, 1:])
+                    g_acosh[rows, k] = lmath._acosh_adjoint(
+                        np.einsum("ij,ij->i", g_sum, out), z, kappa
+                    )
+        return block
+
+    def backward(g, saved, needs):
+        nbr, ctr, values, points, tiles = saved
+        need_rows = needs[0] or needs[1]
+        E, D = g.shape[0], g.shape[1] - 1
+        block = adjoint_block(g, points, tiles, need_rows)
+        a, shift, c = (np.concatenate(parts) for parts in zip(*(tile[1] for tile in tiles)))
+        feats = lmath._boosted(nbr, ctr, c, kappa)
+        g_params = block[:, : K * (D + 1)].T @ feats
         sums = np.ones(E) @ block[:, : K * (D + 1)]
-        scale_sums = np.ones(E) @ g_scales
-        grads = [g_x]
+        scale_sums = np.ones(E) @ block[:, K * (D + 2) :]
+        grads = [None, None]
+        if need_rows:
+            metric = lmath.metric_row(kernel_rows.shape[1] - 1)
+            stacked = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
+            g_feats = block[:, : K * (D + 2)] @ stacked
+            del block  # dropped before the boost's adjoint allocates its rows
+            grads = list(
+                lmath._boost_backward(g_feats, nbr, ctr, feats, a, shift, c, kappa, needs[:2])
+            )
         for k in range(K):
             _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
             grads += [
@@ -424,29 +499,7 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa: float, drop_masks=No
             ]
         return tuple(grads)
 
-    return ad._lift("kernel_aggregate", inputs, forward, backward)
-
-
-def _edge_points(
-    center_rows,
-    neighbor_rows,
-    sublayers,
-    kernel_rows,
-    kappa: float,
-    drop_masks=None,
-):
-    """Per-edge kernel aggregation -> (E, out_dim+1) points on the manifold.
-
-    Each neighbor is recentered at its root by the boost that carries the
-    root to the origin (lmath.ominus, one tape node for all edges) and
-    compared against the kernels where they live, around the origin. The
-    K kernel-weighted transforms are summed by one _kernel_aggregate node,
-    whose backward runs one matrix product per adjoint across the K
-    kernels, and the sum is normalized onto the manifold.
-    """
-    feats = lmath.ominus(neighbor_rows, center_rows, kappa)
-    aggregate = _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks)
-    return lmath.normalize_timelike(aggregate, kappa)
+    return ad._lift("edge_points", inputs, forward, backward)
 
 
 def attention_weights(
@@ -491,7 +544,9 @@ def hkconv_core(
     kernel_rows                   (K, in_dim+1) kernel coordinates
     drop_masks                    optional per-kernel dropout masks
 
-    Returns (num_segments, out_dim+1): one pooled point per segment.
+    Returns (num_segments, out_dim+1): one pooled point per segment. The
+    per-edge points come from one _edge_points node; the attention
+    weights and the segment sums of the pooling are nodes of their own.
     """
     per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
     w = None

@@ -6,10 +6,13 @@ Tensors interchangeably. Branches around the 0/0 limits of the maps are
 expressed through even functions of the squared tangent norm, so both
 the values and the adjoints stay finite at coincident points.
 
-The recentering ``ominus`` that the conv layers apply to every edge is
-one closed-form Lorentz boost, not the exp(PT(log)) chain of the typed
-``manifold`` maps: it agrees with that chain to rounding and keeps
-distances exact where the chain's acosh/sinh round trip does not.
+The recentering ``ominus`` is one closed-form Lorentz boost, not the
+exp(PT(log)) chain of the typed ``manifold`` maps: it agrees with that
+chain to rounding and keeps distances exact where the chain's acosh/sinh
+round trip does not. Its raw-array forward and adjoint (``_boost``,
+``_boost_backward``), like those of ``normalize_timelike``
+(``_normalized``, ``_normalized_backward``), are shared with the conv
+layers' edge node, which applies them inside one tape node.
 
 Raw arrays carry no validation; the typed wrappers in ``manifold`` and
 ``layers`` own that. Points produced here satisfy the constraint
@@ -74,9 +77,13 @@ def inner(x, y):
     )
 
 
+def _time(spatial: np.ndarray, kappa: float) -> np.ndarray:
+    """The time column that puts the spatial rows on the manifold."""
+    return np.sqrt(np.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+
+
 def _lifted(spatial: np.ndarray, kappa: float) -> np.ndarray:
-    time = np.sqrt(np.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
-    return np.concatenate([time, spatial], axis=-1)
+    return np.concatenate([_time(spatial, kappa), spatial], axis=-1)
 
 
 def _lifted_vjp(g: np.ndarray, out: np.ndarray, spatial: np.ndarray) -> np.ndarray:
@@ -113,7 +120,7 @@ def _acosh_adjoint(g: np.ndarray, z: np.ndarray, kappa: float) -> np.ndarray:
 def _dist(a: np.ndarray, b: np.ndarray, kappa: float):
     """Row-wise distance on raw arrays -> (distance, clamped acosh argument z)."""
     z = np.maximum(kappa * _inner(a, b), 1.0)
-    return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), z
+    return np.arccosh(z) / math.sqrt(-kappa), z
 
 
 def dist(x, y, kappa: float):
@@ -136,7 +143,7 @@ def cross_dist(x, y, kappa: float):
     def forward(a, b):
         scaled = metric_row(b.shape[-1] - 1) * b
         z = np.maximum(kappa * (a @ scaled.T), 1.0)
-        return np.arccosh(np.maximum(z, 1.0)) / math.sqrt(-kappa), (a, scaled, z)
+        return np.arccosh(z) / math.sqrt(-kappa), (a, scaled, z)
 
     def backward(g, saved, needs):
         a, scaled, z = saved
@@ -167,6 +174,39 @@ def exp(x, v, kappa: float):
     return time_normalized(out, kappa)
 
 
+def _boost(u: np.ndarray, x: np.ndarray, kappa: float):
+    """The recentering boost on raw rows -> (u (-) x, (a, shift, c)): the
+    rows and the per-row scalars its adjoint reads (see ominus)."""
+    s = math.sqrt(-kappa)
+    a = np.sum(x[..., 1:] * u[..., 1:], axis=-1, keepdims=True)
+    shift = 1.0 + s * x[..., :1]
+    c = (-kappa) * a / shift - s * u[..., :1]
+    return _boosted(u, x, c, kappa), (a, shift, c)
+
+
+def _boosted(u: np.ndarray, x: np.ndarray, c: np.ndarray, kappa: float) -> np.ndarray:
+    """The boost's rows from its per-row coefficient c."""
+    return _lifted(u[..., 1:] + c * x[..., 1:], kappa)
+
+
+def _boost_backward(g, u, x, out, a, shift, c, kappa: float, needs):
+    """Adjoints of u and x (None where needs is false) for the adjoint g
+    of the boost's rows out."""
+    s = math.sqrt(-kappa)
+    g_spatial = _lifted_vjp(g, out, out[..., 1:])
+    g_c = np.sum(g_spatial * x[..., 1:], axis=-1, keepdims=True)
+    g_a = (-kappa) * g_c / shift
+    gu = gx = None
+    if needs[0]:
+        gu = np.concatenate([-s * g_c, g_spatial + g_a * x[..., 1:]], axis=-1)
+        gu = ad._unbroadcast(gu, u.shape)
+    if needs[1]:
+        g_time = (kappa * s) * g_c * a / (shift * shift)
+        gx = np.concatenate([g_time, c * g_spatial + g_a * u[..., 1:]], axis=-1)
+        gx = ad._unbroadcast(gx, x.shape)
+    return gu, gx
+
+
 def ominus(u, x, kappa: float):
     """Relative position u (-) x: the boost that carries x to the origin,
     applied to u.
@@ -178,29 +218,14 @@ def ominus(u, x, kappa: float):
     the result. One tape node. Without the chain's acosh/sinh round trip,
     d(o, u (-) x) = d(u, x) holds to rounding across the embedding range.
     """
-    s = math.sqrt(-kappa)
 
     def forward(u, x):
-        a = np.sum(x[..., 1:] * u[..., 1:], axis=-1, keepdims=True)
-        shift = 1.0 + s * x[..., :1]
-        c = (-kappa) * a / shift - s * u[..., :1]
-        out = _lifted(u[..., 1:] + c * x[..., 1:], kappa)
-        return out, (u, x, a, shift, c, out)
+        out, kept = _boost(u, x, kappa)
+        return out, (u, x, out, kept)
 
     def backward(g, saved, needs):
-        u, x, a, shift, c, out = saved
-        g_spatial = _lifted_vjp(g, out, out[..., 1:])
-        g_c = np.sum(g_spatial * x[..., 1:], axis=-1, keepdims=True)
-        g_a = (-kappa) * g_c / shift
-        gu = gx = None
-        if needs[0]:
-            gu = np.concatenate([-s * g_c, g_spatial + g_a * x[..., 1:]], axis=-1)
-            gu = ad._unbroadcast(gu, u.shape)
-        if needs[1]:
-            g_time = (kappa * s) * g_c * a / (shift * shift)
-            gx = np.concatenate([g_time, c * g_spatial + g_a * u[..., 1:]], axis=-1)
-            gx = ad._unbroadcast(gx, x.shape)
-        return gu, gx
+        u, x, out, kept = saved
+        return _boost_backward(g, u, x, out, *kept, kappa, needs)
 
     return ad._lift("ominus", (u, x), forward, backward)
 
@@ -233,6 +258,22 @@ def check_embed_range(z: np.ndarray, kappa: float) -> None:
         )
 
 
+def _normalized(v: np.ndarray, kappa: float):
+    """The centroid normalization on raw rows -> (rows, (sign, denom)): the
+    rows on the manifold and what the adjoint reads."""
+    square = _inner(v, v)
+    denom = math.sqrt(-kappa) * np.sqrt(np.abs(square))
+    return v / denom[..., None], (np.sign(square), denom)
+
+
+def _normalized_backward(g, out, sign, denom, kappa: float) -> np.ndarray:
+    """Adjoint of the unnormalized rows for the adjoint g of the rows out."""
+    # d denom / d v = -kappa * sign<v,v>_L * metric * out
+    along = np.sum(g * out, axis=-1) * ((-kappa) * sign)
+    metric = metric_row(out.shape[-1] - 1)
+    return (g - along[..., None] * (metric * out)) / denom[..., None]
+
+
 def normalize_timelike(u, kappa: float):
     """Scale a timelike ambient vector onto the manifold.
 
@@ -240,17 +281,12 @@ def normalize_timelike(u, kappa: float):
     """
 
     def forward(v):
-        square = _inner(v, v)
-        denom = math.sqrt(-kappa) * np.sqrt(np.abs(square))
-        out = v / denom[..., None]
-        return out, (out, np.sign(square), denom)
+        out, kept = _normalized(v, kappa)
+        return out, (out, kept)
 
     def backward(g, saved, needs):
-        out, sign, denom = saved
-        # d denom / d v = -kappa * sign<v,v>_L * metric * out
-        along = np.sum(g * out, axis=-1) * ((-kappa) * sign)
-        metric = metric_row(out.shape[-1] - 1)
-        return ((g - along[..., None] * (metric * out)) / denom[..., None],)
+        out, kept = saved
+        return (_normalized_backward(g, out, *kept, kappa),)
 
     return ad._lift("normalize_timelike", (u,), forward, backward)
 

@@ -170,9 +170,76 @@ def _per_kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None)
     return aggregate
 
 
+def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
+    # the kernel aggregation as one full-height tape node over all K
+    # kernels: per-kernel output rows kept, one product per adjoint
+    K = len(sublayers)
+    n = len(layers.PARAM_NAMES)
+    masks = [None] * K if drop_masks is None else drop_masks
+    inputs = (feats,) + tuple(p for params in sublayers for p in params)
+
+    def forward(x, *values):
+        aggregate = None
+        kept = []
+        for k in range(K):
+            spatial, gated = layers._gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
+            out = np.concatenate([gated[-1], spatial], axis=-1)
+            nu, z = lmath._dist(x, kernel_rows[k], kappa)
+            term = nu.reshape(nu.shape + (1,)) * out
+            if aggregate is None:
+                aggregate = term
+            else:
+                aggregate += term
+            kept.append((out, gated, nu, z))
+        return aggregate, (x, values, kept)
+
+    def backward(g, saved, needs):
+        x, values, kept = saved
+        E, D = g.shape[0], g.shape[1] - 1
+        block = np.empty((E, K * (D + 3)))
+        g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
+        for k, (out, gated, nu, z) in enumerate(kept):
+            g_u = block[:, k * D : (k + 1) * D]
+            _, g_logit, g_gate = layers._gated_backward(g * nu[:, None], *gated, masks[k], g_u)
+            g_logits[:, k] = g_logit[:, 0]
+            g_scales[:, k] = (g_gate * gated[2])[:, 0]
+            g_acosh[:, k] = lmath._acosh_adjoint(np.einsum("ij,ij->i", g, out), z, kappa)
+        g_x = None
+        if needs[0]:
+            metric = lmath.metric_row(kernel_rows.shape[1] - 1)
+            rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
+            g_x = block[:, : K * (D + 2)] @ rows
+        g_params = block[:, : K * (D + 1)].T @ x
+        sums = np.ones(E) @ block[:, : K * (D + 1)]
+        scale_sums = np.ones(E) @ g_scales
+        grads = [g_x]
+        for k in range(K):
+            _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
+            grads += [
+                g_params[k * D : (k + 1) * D],
+                g_params[K * D + k].reshape(gate_vec.shape),
+                sums[k * D : (k + 1) * D].reshape(bias.shape),
+                sums[K * D + k].reshape(np.shape(gate_bias)),
+                scale_sums[k].reshape(np.shape(log_scale)),
+            ]
+        return tuple(grads)
+
+    return ad._lift("kernel_aggregate", inputs, forward, backward)
+
+
+def _chain_edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks=None):
+    # the per-edge points as three full-height tape nodes: recentering,
+    # kernel aggregation, normalization
+    feats = lmath.ominus(neighbor_rows, center_rows, kappa)
+    aggregate = _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks)
+    return lmath.normalize_timelike(aggregate, kappa)
+
+
 def _aggregation_inputs(rng, K, width, out_dim=16, edges=40, kappa=-0.7):
-    """Recentred rows, kernel rows and K random parameter tuples (PARAM_NAMES order)."""
-    feats = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
+    """Root rows, neighbor rows, kernel rows and K random parameter tuples
+    (PARAM_NAMES order)."""
+    centers = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
+    neighbors = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
     kernel_rows = lmath.embed(0.5 * rng.standard_normal((K, width - 1)), kappa)
     sublayers = [
         (
@@ -184,11 +251,51 @@ def _aggregation_inputs(rng, K, width, out_dim=16, edges=40, kappa=-0.7):
         )
         for _ in range(K)
     ]
-    return feats, kernel_rows, sublayers
+    return centers, neighbors, kernel_rows, sublayers
+
+
+def _drop_masks(rng, K, edges, out_dim=16, keep=0.7):
+    return [(rng.random((edges, out_dim)) < keep) / keep for _ in range(K)]
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _edge_gradients(fn, centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded, rng):
+    """(output values, gradients of every leaf) of a weighted sum of fn's
+    rows; recorded makes the root and neighbor rows leaves too."""
+    store = ad.ParamStore()
+    if recorded:
+        store.add("centers", centers)
+        store.add("neighbors", neighbors)
+    for k, params in enumerate(sublayers):
+        for name, value in zip(layers.PARAM_NAMES, params):
+            store.add(f"k{k}.{name}", value)
+    weights = rng.standard_normal((len(centers), sublayers[0][0].shape[0] + 1))
+    values = {}
+
+    def loss(leaves):
+        rows = (leaves["centers"], leaves["neighbors"]) if recorded else (centers, neighbors)
+        subs = [
+            tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
+            for k in range(len(sublayers))
+        ]
+        out = fn(*rows, subs, kernel_rows, kappa, masks)
+        values["out"] = out.value
+        return ad.sum(out * weights)
+
+    return values, ad.grad(loss, store)
+
+
+T = layers.TILE_ROWS
 
 
 class TestKernelAggregate:
-    """layers._kernel_aggregate against the per-kernel chain it replaces."""
+    """layers._edge_points, one tile-local node, against the three
+    full-height nodes it replaces (ominus, kernel aggregation and
+    normalize_timelike), which are checked against the per-kernel chain."""
 
     kappa = -0.7
 
@@ -196,20 +303,33 @@ class TestKernelAggregate:
     @pytest.mark.parametrize("width", (5, 10, 17))
     def test_forward_is_bit_identical_to_the_chain(self, rng, K, width):
         # widths: the first layers of both benchmark workloads and the hidden layer
-        feats, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
-        masks = [(rng.random((len(feats), 16)) < 0.7) / 0.7 for _ in range(K)]
-        for drop in (None, masks):
-            got = layers._kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop)
-            want = _per_kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
+        feats = lmath.ominus(neighbors, centers, self.kappa)
+        for drop in (None, _drop_masks(rng, K, len(centers))):
+            got = layers._edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa, drop)
+            want = _chain_edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa, drop)
+            _assert_same_bits(got, want)
+            _assert_same_bits(
+                _kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop),
+                _per_kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop),
+            )
 
     @pytest.mark.parametrize("recorded_input", (False, True))
     @pytest.mark.parametrize("masked", (False, True))
     def test_adjoints_match_the_chain(self, rng, recorded_input, masked):
         # a constant input is the first conv layer's, a recorded one a later layer's
         K, width = 3, 10
-        feats, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
-        masks = [(rng.random((len(feats), 16)) < 0.7) / 0.7 for _ in range(K)] if masked else None
+        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
+        masks = _drop_masks(rng, K, len(centers)) if masked else None
+        args = (centers, neighbors, kernel_rows, sublayers, self.kappa, masks, recorded_input)
+        got = _edge_gradients(layers._edge_points, *args, np.random.default_rng(1))[1]
+        want = _edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))[1]
+        for path in want:
+            assert np.max(np.abs(want[path])) > 0, path
+            _assert_same_bits(got[path], want[path])
+
+        # the full-height oracle against the per-kernel chain it fuses
+        feats = lmath.ominus(neighbors, centers, self.kappa)
         store = ad.ParamStore()
         if recorded_input:
             store.add("feats", feats)
@@ -225,34 +345,49 @@ class TestKernelAggregate:
                     tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
                     for k in range(K)
                 ]
-                out = fn(x, subs, kernel_rows, self.kappa, masks)
-                if fn is layers._kernel_aggregate:
-                    assert out.op == "kernel_aggregate"
-                    assert all(parent.op == "leaf" for parent in out.parents)
-                return ad.sum(out * weights)
+                return ad.sum(fn(x, subs, kernel_rows, self.kappa, masks) * weights)
 
             return run
 
-        got = ad.grad(loss(layers._kernel_aggregate), store)
+        got = ad.grad(loss(_kernel_aggregate), store)
         want = ad.grad(loss(_per_kernel_aggregate), store)
         for path in store.paths():
-            assert got[path].shape == want[path].shape, path
             scale = np.max(np.abs(want[path]))
-            assert scale > 0, path
             assert np.max(np.abs(got[path] - want[path])) <= 1e-12 * scale, path
 
+    @pytest.mark.parametrize("recorded", (False, True))
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("K", (2, 9))
+    @pytest.mark.parametrize("edges", (1, T - 1, T, T + 1, 3 * T + 37))
+    def test_tiles_are_bit_identical_to_the_chain(self, rng, edges, K, masked, recorded):
+        # less than a tile, a full one, one row past it, several uneven ones
+        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, 10, edges=edges)
+        masks = _drop_masks(rng, K, edges) if masked else None
+        fixed = (centers, neighbors, sublayers, kernel_rows, self.kappa, masks)
+        _assert_same_bits(layers._edge_points(*fixed), _chain_edge_points(*fixed))
+        args = (centers, neighbors, kernel_rows, sublayers, self.kappa, masks, recorded)
+        got_out, got = _edge_gradients(layers._edge_points, *args, np.random.default_rng(1))
+        want_out, want = _edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))
+        _assert_same_bits(got_out["out"], want_out["out"])
+        assert set(got) == set(want)
+        for path in want:
+            _assert_same_bits(got[path], want[path])
+
     def test_vanishing_prenorm_vector_of_one_kernel_is_degenerate(self, rng):
-        feats, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)
+        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)
+        feats = lmath.ominus(neighbors, centers, self.kappa)
         weight = np.ones((16, 5))
         # the second kernel's bias cancels its affine map at the first row
         zero = np.asarray(0.0)
         sublayers[1] = (weight, np.zeros(5), -(weight @ feats[0]), zero, zero)
         with pytest.raises(DegenerateGeometryError):
-            layers._kernel_aggregate(feats, sublayers, kernel_rows, self.kappa)
+            layers._edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa)
         store = ad.ParamStore()
-        store.add("feats", feats)
+        store.add("centers", centers)
         with pytest.raises(DegenerateGeometryError):
-            layers._kernel_aggregate(store.tensors()["feats"], sublayers, kernel_rows, self.kappa)
+            layers._edge_points(
+                store.tensors()["centers"], neighbors, sublayers, kernel_rows, self.kappa
+            )
 
 
 class TestHCent:

@@ -58,9 +58,10 @@ def test_tracer_counts_every_tape_op_and_restores_the_package():
     assert tracer.op_calls == {op: 2 * n for op, n in forward_calls.items()}
     metrics = tracer.metrics({})
     assert metrics["autodiff.ops_per_grad"]["value"] == len(ops)
-    # the K-kernel loop is one kernel_aggregate node made inside
-    # layers._edge_points, so the combine stage holds its time both ways
-    assert tracer.op_vjp["kernel_aggregate"] > 0
+    # recentering, the K-kernel loop and the normalization are one
+    # edge_points node made by layers._edge_points, so the combine stage
+    # holds its time both ways
+    assert tracer.op_vjp["edge_points"] > 0
     assert metrics["model.conv1.combine.fwd_ms"]["value"] > 0
     assert metrics["model.conv1.combine.bwd_ms"]["value"] > 0
     after = _attributes(OWNERS)
