@@ -128,6 +128,15 @@ def _check_operand(x):
     raise BuildError(f"unsupported operand type for differentiable op: {type(x).__name__}")
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product along the last axis: one einsum pass, with no
+    product temporary and no BLAS call. einsum adds a row's products in
+    another order when that axis is not unit-stride, so such an operand is
+    copied first and a row's bits do not depend on the array's layout."""
+    a, b = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x) for x in (a, b))
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce an adjoint back to the shape of a broadcast operand."""
     if g.shape == shape:
@@ -379,6 +388,19 @@ def sum(a, axis=None, keepdims=False):  # noqa: A001 - mirrors numpy naming
     )
 
 
+def rowdot(a, b):
+    """Row-wise dot product along the last axis (_rowdot), one tape node."""
+    return _lift(
+        "rowdot",
+        (a, b),
+        lambda x, y: (_rowdot(x, y), (x, y)),
+        _per_input(
+            lambda g, x, y: _unbroadcast(g[..., None] * y, x.shape),
+            lambda g, x, y: _unbroadcast(g[..., None] * x, y.shape),
+        ),
+    )
+
+
 def mean(a, axis=None, keepdims=False):
     x = value_of(a)
     count = x.size if axis is None else x.shape[axis]
@@ -488,8 +510,11 @@ def _segment_sum_sorted(vals: np.ndarray, segments: np.ndarray, num_segments: in
     for length in np.unique(counts[counts > 0]):
         segs = np.flatnonzero(counts == length)
         block = vals.T[:, rows[first[segs, None] + np.arange(length)]]
-        # stable: numpy's default sort can swap -0.0 for 0.0 in long rows
-        block.sort(axis=-1, kind="stable")
+        # sorting a run of one or two cannot change its sum: x + y == y + x,
+        # and NaNs keep their index order. Stable: numpy's default sort can
+        # swap -0.0 for 0.0 in long rows
+        if length > 2:
+            block.sort(axis=-1, kind="stable")
         runs[:, at : at + segs.size * length] = block.reshape(width, segs.size * length)
         order.append(segs)
         at += segs.size * length

@@ -16,7 +16,10 @@ kernels_poincare.csv, kernel_geodesics_poincare.csv, metrics.csv,
 checkpoint.json, sweep.csv, gradient_decay.csv, report.json,
 manifest.json. kernel-gen, appendix-a, train and sweep write a manifest
 with the seed, every config key the run read, the kernel-file hash and the
-code version, enough to reproduce the run bit for bit.
+code version, and under "machine" what else the bits depend on (NumPy
+version, CPU architecture and count, BLAS thread settings), enough to
+reproduce the run bit for bit. It holds no time, so reruns match byte
+for byte.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -40,6 +44,8 @@ _SECTIONS = {
     "data": graphnet.DataConfig,
     "solver": kernelgen.SolverConfig,
 }
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -122,6 +128,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
+def _machine() -> dict:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "numpy": np.__version__,
+        "platform": platform.machine(),
+        "cpus": len(affinity(0)) if affinity else os.cpu_count(),
+        **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
+
+
 def _write_manifest(out: Path, subcommand: str, resolved: dict, seed, kernel_hash=None, extra=None):
     manifest = {
         "version": __version__,
@@ -129,6 +145,7 @@ def _write_manifest(out: Path, subcommand: str, resolved: dict, seed, kernel_has
         "seed": seed,
         "config": {k: resolved[k] for k in sorted(resolved)},
         "kernel_hash": kernel_hash,
+        "machine": _machine(),
     }
     if extra:
         manifest.update(extra)

@@ -147,8 +147,7 @@ def _to_riemannian(coords: np.ndarray, grads: np.ndarray, kappa: float) -> np.nd
     """
     metric = lmath.metric_row(coords.shape[1] - 1)
     u = grads * metric
-    inner = np.sum(u * (metric * coords), axis=1, keepdims=True)
-    return u - kappa * inner * coords
+    return u - kappa * lmath._inner(u, coords)[:, None] * coords
 
 
 def kernel_loss(kernels: KernelSet) -> float:
@@ -238,7 +237,6 @@ def solve_kernels_verbose(
     if cfg.dim != m:
         raise DimensionError(f"cfg.dim {cfg.dim} != m {m}")
     kappa = cfg.curvature
-    metric = lmath.metric_row(m)
     radius = math.sqrt(-kappa) * solver.init_scale
     if radius > lmath.EMBED_MAX_RADIUS:
         raise ParameterError(
@@ -272,7 +270,7 @@ def solve_kernels_verbose(
     for iteration in range(1, solver.max_iters + 1):
         grads = _euclidean_grads(coords, kappa)
         rgrads = _to_riemannian(coords, grads, kappa)
-        sq_norms = np.sum(rgrads * (metric * rgrads), axis=1)
+        sq_norms = lmath._inner(rgrads, rgrads)
         max_norm = float(np.max(np.sqrt(np.maximum(sq_norms, 0.0))))
         log.append((iteration, loss, max_norm))
         converged = max_norm <= solver.grad_tol

@@ -137,12 +137,12 @@ def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_
     u = x @ weight.T + bias
     if drop_mask is not None:
         u = u * drop_mask
-    norm_sq = np.sum(u * u, axis=-1, keepdims=True)
+    norm_sq = ad._rowdot(u, u)[..., None]
     if float(np.min(norm_sq)) < _DEGENERATE_NORM**2:
         raise DegenerateGeometryError(
             "gated linear transform: pre-normalization vector has vanishing norm"
         )
-    gate_logit = np.sum(x * gate_vec, axis=-1, keepdims=True)
+    gate_logit = ad._rowdot(x, gate_vec)[..., None]
     sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
     gate = np.exp(log_scale) * sig
     norm = np.sqrt(norm_sq)
@@ -158,7 +158,7 @@ def _gated_backward(g, u, norm, gate, sig, time, drop_mask, g_u=None):
     g_time, g_spatial = g[..., :1], g[..., 1:]
     # spatial = gate * u / |u| has norm gate, so the time coordinate
     # depends on the gate alone and u receives only the spatial adjoint
-    along = np.einsum("...i,...i->...", g_spatial, u)[..., None]
+    along = ad._rowdot(g_spatial, u)[..., None]
     g_u = np.multiply(gate / norm, g_spatial - along / (norm * norm) * u, out=g_u)
     if drop_mask is not None:
         g_u *= drop_mask
@@ -402,8 +402,9 @@ def _edge_points(
     product over that buffer then gives the adjoint of the recentred
     rows, one the adjoints of all weights and gate directions, and one
     those of all biases and gate biases. The recentred rows' adjoint, and
-    the kernel terms only it needs, are computed only when the root or
-    neighbor rows are recorded (not in the first conv layer).
+    the kernel terms only it needs, are computed, and the per-row scalars
+    they read kept, only when the root or neighbor rows are recorded (not
+    in the first conv layer).
     """
     kernel_rows = ad.value_of(kernel_rows)
     K = kernel_rows.shape[0]
@@ -413,6 +414,9 @@ def _edge_points(
     masks = [None] * K if drop_masks is None else drop_masks
     inputs = (neighbor_rows, center_rows) + tuple(p for params in sublayers for p in params)
     recording = any(isinstance(v, ad.Tensor) for v in inputs)
+    # the boost's a and shift and the kernels' acosh arguments z feed only
+    # the recentred rows' adjoint
+    need_rows = isinstance(neighbor_rows, ad.Tensor) or isinstance(center_rows, ad.Tensor)
 
     def forward(nbr, ctr, *values):
         points = np.empty((len(nbr), values[0].shape[0] + 1))
@@ -431,15 +435,16 @@ def _edge_points(
                 else:
                     time_sum += nu_col * gated[-1]
                     spatial_sum += nu_col * spatial
-                kept.append((gated, nu, z))
+                kept.append((gated, nu, z if need_rows else None))
             aggregate = np.concatenate([time_sum, spatial_sum], axis=-1)
             normed, normal = lmath._normalized(aggregate, kappa)
             points[rows] = normed
             if recording:
-                tiles.append((rows, boost, kept, normal))
+                a, shift, c = boost
+                tiles.append((rows, c, (a, shift) if need_rows else None, kept, normal))
         return points, (nbr, ctr, values, points, tiles)
 
-    def adjoint_block(g, points, tiles, need_rows):
+    def adjoint_block(g, points, tiles):
         """Row adjoints in column blocks of one (E, K * (out_dim+3)) array:
         each kernel's g_u (out_dim columns), then one column per kernel of
         gate-logit, acosh and gate-scale adjoints (acosh only for
@@ -449,7 +454,7 @@ def _edge_points(
         g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
         if need_rows:
             lifted = np.empty((max(rows.stop - rows.start for rows, *_ in tiles), D + 1))
-        for rows, _, kept, normal in tiles:
+        for rows, _, _, kept, normal in tiles:
             g_sum = lmath._normalized_backward(g[rows], points[rows], *normal, kappa)
             for k, (gated, nu, z) in enumerate(kept):
                 u, norm, gate, _, time = gated
@@ -464,17 +469,14 @@ def _edge_points(
                     out = lifted[: len(u)]
                     out[:, :1] = time
                     np.multiply(gate / norm, u, out=out[:, 1:])
-                    g_acosh[rows, k] = lmath._acosh_adjoint(
-                        np.einsum("ij,ij->i", g_sum, out), z, kappa
-                    )
+                    g_acosh[rows, k] = lmath._acosh_adjoint(ad._rowdot(g_sum, out), z, kappa)
         return block
 
     def backward(g, saved, needs):
         nbr, ctr, values, points, tiles = saved
-        need_rows = needs[0] or needs[1]
         E, D = g.shape[0], g.shape[1] - 1
-        block = adjoint_block(g, points, tiles, need_rows)
-        a, shift, c = (np.concatenate(parts) for parts in zip(*(tile[1] for tile in tiles)))
+        block = adjoint_block(g, points, tiles)
+        c = np.concatenate([tile[1] for tile in tiles])
         feats = lmath._boosted(nbr, ctr, c, kappa)
         g_params = block[:, : K * (D + 1)].T @ feats
         sums = np.ones(E) @ block[:, : K * (D + 1)]
@@ -485,6 +487,7 @@ def _edge_points(
             stacked = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
             g_feats = block[:, : K * (D + 2)] @ stacked
             del block  # dropped before the boost's adjoint allocates its rows
+            a, shift = (np.concatenate(parts) for parts in zip(*(tile[2] for tile in tiles)))
             grads = list(
                 lmath._boost_backward(g_feats, nbr, ctr, feats, a, shift, c, kappa, needs[:2])
             )

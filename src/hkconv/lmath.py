@@ -14,6 +14,15 @@ round trip does not. Its raw-array forward and adjoint (``_boost``,
 (``_normalized``, ``_normalized_backward``), are shared with the conv
 layers' edge node, which applies them inside one tape node.
 
+Every row-wise contraction (Lorentz inner products, squared norms, the
+boost's and the normalization's dot products) goes through
+``autodiff._rowdot``, one einsum pass over unit-stride rows with no
+product temporary and no BLAS call; ``embed``'s squared norm is its tape
+node ``autodiff.rowdot``. NumPy's einsum adds a row's products in another
+order when the contracted axis is not unit-stride (a Fortran-ordered or
+reversed operand), so ``_rowdot`` copies such an operand first: a row's
+bits then do not depend on the layout of the array that holds it.
+
 Raw arrays carry no validation; the typed wrappers in ``manifold`` and
 ``layers`` own that. Points produced here satisfy the constraint
 analytically and the time component is recomputed where cheap to keep
@@ -55,7 +64,7 @@ def origin_row(dim: int, kappa: float) -> np.ndarray:
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(x * (metric_row(x.shape[-1] - 1) * y), axis=-1)
+    return ad._rowdot(x, metric_row(x.shape[-1] - 1) * y)
 
 
 def _inner_vjps(g, x, y, needs):
@@ -79,7 +88,7 @@ def inner(x, y):
 
 def _time(spatial: np.ndarray, kappa: float) -> np.ndarray:
     """The time column that puts the spatial rows on the manifold."""
-    return np.sqrt(np.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+    return np.sqrt(ad._rowdot(spatial, spatial)[..., None] - 1.0 / kappa)
 
 
 def _lifted(spatial: np.ndarray, kappa: float) -> np.ndarray:
@@ -178,7 +187,7 @@ def _boost(u: np.ndarray, x: np.ndarray, kappa: float):
     """The recentering boost on raw rows -> (u (-) x, (a, shift, c)): the
     rows and the per-row scalars its adjoint reads (see ominus)."""
     s = math.sqrt(-kappa)
-    a = np.sum(x[..., 1:] * u[..., 1:], axis=-1, keepdims=True)
+    a = ad._rowdot(x[..., 1:], u[..., 1:])[..., None]
     shift = 1.0 + s * x[..., :1]
     c = (-kappa) * a / shift - s * u[..., :1]
     return _boosted(u, x, c, kappa), (a, shift, c)
@@ -194,7 +203,7 @@ def _boost_backward(g, u, x, out, a, shift, c, kappa: float, needs):
     of the boost's rows out."""
     s = math.sqrt(-kappa)
     g_spatial = _lifted_vjp(g, out, out[..., 1:])
-    g_c = np.sum(g_spatial * x[..., 1:], axis=-1, keepdims=True)
+    g_c = ad._rowdot(g_spatial, x[..., 1:])[..., None]
     g_a = (-kappa) * g_c / shift
     gu = gx = None
     if needs[0]:
@@ -235,7 +244,8 @@ def embed(z, kappa: float):
 
     Smooth in z including z = 0, so gradients flow through zero features.
     """
-    q = ad.sum(z * z, axis=-1, keepdims=True)
+    q = ad.rowdot(z, z)
+    q = ad.reshape(q, ad.value_of(q).shape + (1,))
     phi2 = (-kappa) * q
     cosh_phi, sinhc_phi = _cosh_sinhc(phi2)
     time = cosh_phi / math.sqrt(-kappa)
@@ -269,7 +279,7 @@ def _normalized(v: np.ndarray, kappa: float):
 def _normalized_backward(g, out, sign, denom, kappa: float) -> np.ndarray:
     """Adjoint of the unnormalized rows for the adjoint g of the rows out."""
     # d denom / d v = -kappa * sign<v,v>_L * metric * out
-    along = np.sum(g * out, axis=-1) * ((-kappa) * sign)
+    along = ad._rowdot(g, out) * ((-kappa) * sign)
     metric = metric_row(out.shape[-1] - 1)
     return (g - along[..., None] * (metric * out)) / denom[..., None]
 

@@ -206,6 +206,56 @@ class TestTape:
         assert recorded == []
 
 
+class TestRowdot:
+    """The row-wise dot product every Lorentz inner product, squared norm
+    and gate logit goes through."""
+
+    @pytest.mark.parametrize("width", (3, 5, 10, 16, 17))
+    def test_row_bits_do_not_depend_on_the_layout(self, rng, width):
+        a = rng.standard_normal((40, width))
+        b = rng.standard_normal((40, width))
+        v = rng.standard_normal(width)
+        want = ad._rowdot(a, b)
+        layouts = {"fortran": np.asfortranarray(a), "reversed": a[:, ::-1].copy()[:, ::-1]}
+        wide = np.empty((40, width + 3))
+        wide[:, 2 : 2 + width] = a
+        layouts["column slice"] = wide[:, 2 : 2 + width]
+        for offset in range(1, 5):
+            x = np.empty(a.size + offset)[offset:].reshape(a.shape)
+            x[...] = a
+            layouts[f"misaligned by {offset}"] = x
+        for x in layouts.values():
+            _assert_same_bits(ad._rowdot(x, b), want)
+            _assert_same_bits(ad._rowdot(b, x), ad._rowdot(b, a))
+        _assert_same_bits(ad._rowdot(np.asfortranarray(a), np.asfortranarray(b)), want)
+        for i in (0, 17, 39):
+            _assert_same_bits(ad._rowdot(a[i], b[i]), np.asarray(want[i]))
+            _assert_same_bits(ad._rowdot(a[i : i + 1], b[i : i + 1]), want[i : i + 1])
+        # a broadcast vector operand contracts each row as a copy of it would
+        _assert_same_bits(ad._rowdot(a, v), ad._rowdot(a, np.tile(v, (40, 1))))
+        _assert_same_bits(ad._rowdot(a, v), ad._rowdot(np.asfortranarray(a), v))
+
+    def test_adjoints_are_those_of_the_product_and_sum(self, rng):
+        # the composite's adjoints are the same products, unbroadcast alike
+        a = rng.standard_normal((12, 5))
+        v = rng.standard_normal(5)
+        weights = rng.standard_normal(12)
+        store = ad.ParamStore()
+        store.add("a", a)
+        store.add("v", v)
+
+        def loss(fn):
+            return lambda leaves: ad.sum(fn(leaves["a"], leaves["v"]) * weights)
+
+        got = ad.grad(loss(ad.rowdot), store)
+        want = ad.grad(loss(lambda x, y: ad.sum(x * y, axis=-1)), store)
+        for path in ("a", "v"):
+            _assert_same_bits(got[path], want[path])
+        out = ad.rowdot(*store.tensors().values())
+        assert out.op == "rowdot"
+        _assert_same_bits(out.value, ad._rowdot(a, v))
+
+
 def _lexsort_segment_sum(vals, segments, num_segments):
     """Reference: one lexsort per column, then reduceat over each bucket."""
     squeeze = vals.ndim == 1
@@ -266,8 +316,8 @@ class TestSegmentSum:
         assert out.ndim == 1
         _assert_same_bits(out, _lexsort_segment_sum(values, segments, out.size))
 
-    def test_bits_match_with_signed_zeros_infinities_and_nans(self, rng):
-        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
+    def _assert_bits_match_with_special_values(self, rng, lengths):
+        segments = np.repeat(np.arange(len(lengths)), lengths)
         rng.shuffle(segments)
         values = self._heavy_tailed(rng, (segments.size, 4))
         pick = rng.random(values.shape)
@@ -279,9 +329,25 @@ class TestSegmentSum:
         # signed zeros only: a sum is -0.0 exactly when every summand is
         values[:, 3] = np.where(pick[:, 3] < 0.9, -0.0, 0.0)
         with np.errstate(invalid="ignore"):
-            out = ad.segment_sum(values, segments, len(self.RUN_LENGTHS))
-            ref = _lexsort_segment_sum(values, segments, len(self.RUN_LENGTHS))
+            out = ad.segment_sum(values, segments, len(lengths))
+            ref = _lexsort_segment_sum(values, segments, len(lengths))
         _assert_same_bits(out, ref)
+
+    def test_bits_match_with_signed_zeros_infinities_and_nans(self, rng):
+        self._assert_bits_match_with_special_values(rng, self.RUN_LENGTHS)
+
+    def test_bits_match_when_most_runs_are_left_unsorted(self, rng):
+        # runs of one or two are summed unsorted, the neighbourhoods of
+        # most nodes in a sparse graph
+        lengths = rng.choice((1, 2, 2, 2, 3, 9), size=3000)
+        self._assert_bits_match_with_special_values(rng, lengths)
+        segments = np.repeat(np.arange(lengths.size), lengths)
+        rng.shuffle(segments)
+        values = self._heavy_tailed(rng, (segments.size, 3))
+        _assert_same_bits(
+            ad.segment_sum(values, segments, lengths.size),
+            _lexsort_segment_sum(values, segments, lengths.size),
+        )
 
     def test_bits_do_not_depend_on_row_order_within_segments(self, rng):
         segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)

@@ -4,6 +4,8 @@ exit-code contract, config layering, and byte-identical reruns."""
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import warnings
 
 import numpy as np
@@ -76,6 +78,23 @@ class TestKernelGenCommand:
         assert manifest["kernel_hash"] == _sha(out / "kernels.json")
         assert manifest["config"]["solver.lr"] == 1e-4
         assert "timestamp" not in manifest
+
+    def test_manifest_records_the_machine_the_bits_depend_on(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["kernel-gen", "--K", "2", "--dim", "2", "--out", str(out)]) == 0
+        machine = json.loads((out / "manifest.json").read_text())["machine"]
+        assert machine == {
+            "numpy": np.__version__,
+            "platform": platform.machine(),
+            "cpus": machine["cpus"],
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": None,
+        }
+        assert isinstance(machine["cpus"], int) and 1 <= machine["cpus"] <= os.cpu_count()
 
     def test_lr_flag_is_the_solver_rate(self, tmp_path):
         flag = tmp_path / "flag"

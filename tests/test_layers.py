@@ -1,6 +1,8 @@
 """Hyperbolic layers: plain-numpy oracles for every transform, manifold
 closure, the two structural invariances, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,11 @@ def _composite_hlinear(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, m
     u = ad.matmul(x, ad.transpose(weight)) + bias
     if mask is not None:
         u = u * mask
-    norm_sq = ad.sum(u * u, axis=-1, keepdims=True)
-    gate_logit = ad.sum(x * gate_vec, axis=-1, keepdims=True)
+    norm_sq = layers._as_column(ad.rowdot(u, u))
+    gate_logit = layers._as_column(ad.rowdot(x, gate_vec))
     gate = ad.exp(log_scale) * ad.sigmoid(gate_logit + gate_bias)
     spatial = gate / ad.sqrt(norm_sq) * u
-    time = ad.sqrt(ad.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+    time = ad.sqrt(layers._as_column(ad.rowdot(spatial, spatial)) - 1.0 / kappa)
     return ad.concatenate([time, spatial], axis=-1)
 
 
@@ -372,6 +374,24 @@ class TestKernelAggregate:
         assert set(got) == set(want)
         for path in want:
             _assert_same_bits(got[path], want[path])
+
+    def test_constant_rows_keep_no_state_for_their_adjoint(self, rng):
+        # the first conv layer's node (constant root and neighbor rows) keeps
+        # neither the K kernels' acosh arguments nor the boost's a and shift
+        K, edges = 4, 3000
+        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, 10, edges=edges)
+        held = {}
+        for recorded in (False, True):
+            rows = (ad.Tensor(centers), ad.Tensor(neighbors)) if recorded else (centers, neighbors)
+            subs = [tuple(ad.Tensor(v) for v in params) for params in sublayers]
+            tracemalloc.start()
+            try:
+                out = layers._edge_points(*rows, subs, kernel_rows, self.kappa)
+                held[recorded] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(out, ad.Tensor)
+        assert held[True] - held[False] >= (K + 2) * edges * 8
 
     def test_vanishing_prenorm_vector_of_one_kernel_is_degenerate(self, rng):
         centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)

@@ -2,8 +2,8 @@
 
 Each fused op (inner, dist, cross_dist, time_normalized,
 normalize_timelike) is one tape node. The oracles below rebuild it from
-autodiff primitives, the way lmath computed it before fusion: forwards must
-agree bit for bit, adjoints to 1e-12 relative. exp, built on them, is
+autodiff primitives, contracting rows with ad.rowdot as lmath does:
+forwards must agree bit for bit, adjoints to 1e-12 relative. exp, built on them, is
 checked the same way. The recentering ominus is a closed-form boost, not
 the exp(PT(log)) chain kept here as its oracle, so it agrees with the chain
 to rounding only; it is also checked against finite differences and for
@@ -31,11 +31,11 @@ _LOG_SERIES_H = 1e-6  # where the log oracle switches to its series form
 
 def _inner(x, y):
     dim = ad.value_of(x).shape[-1] - 1
-    return ad.sum(x * (lmath.metric_row(dim) * y), axis=-1)
+    return ad.rowdot(x, lmath.metric_row(dim) * y)
 
 
 def _from_spatial(spatial, kappa):
-    time = ad.sqrt(ad.sum(spatial * spatial, axis=-1, keepdims=True) - 1.0 / kappa)
+    time = ad.sqrt(_col(ad.rowdot(spatial, spatial)) - 1.0 / kappa)
     return ad.concatenate([time, spatial], axis=-1)
 
 
