@@ -518,9 +518,9 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
                 for _ in range(cfg.K)
             ]
         x = layers.hkconv_core(
-            ad.take(x, dst),
-            ad.take(x, src),
+            x,
             dst,
+            src,
             batch.num_nodes,
             [
                 tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)

@@ -19,7 +19,10 @@ The building blocks:
   scalars; the backward recomputes the rest tile by tile and stacks the
   K kernels' adjoints side by side, so each adjoint (of the recentred
   rows, of the weights and gate directions, of the biases) is one
-  full-height matrix product across all kernels.
+  full-height matrix product across all kernels. When the node rows are
+  constants (a plain ndarray, no dropout masks), that node runs once per
+  distinct (root row, neighbor row) pair, on no fewer than min(E, 2)
+  rows, and its rows are gathered back to the E edges (hkconv_core).
 
 Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
@@ -203,8 +206,8 @@ def hlinear_core(
         return (
             g_logit * gate_vec + g_u @ weight if need_x else None,
             rows_u.T @ rows_x if need_w else None,
-            (rows_logit @ rows_x).reshape(gate_vec.shape) if need_gv else None,
-            (np.ones(len(rows_u)) @ rows_u).reshape(bias.shape) if need_b else None,
+            (rows_logit[:, None] * rows_x).sum(axis=0).reshape(gate_vec.shape) if need_gv else None,
+            rows_u.sum(axis=0).reshape(bias.shape) if need_b else None,
             ad._unbroadcast(g_logit, np.shape(gate_bias)) if need_gb else None,
             ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
         )
@@ -474,13 +477,15 @@ def _edge_points(
 
     def backward(g, saved, needs):
         nbr, ctr, values, points, tiles = saved
-        E, D = g.shape[0], g.shape[1] - 1
+        D = g.shape[1] - 1
         block = adjoint_block(g, points, tiles)
         c = np.concatenate([tile[1] for tile in tiles])
         feats = lmath._boosted(nbr, ctr, c, kappa)
         g_params = block[:, : K * (D + 1)].T @ feats
-        sums = np.ones(E) @ block[:, : K * (D + 1)]
-        scale_sums = np.ones(E) @ block[:, K * (D + 2) :]
+        # column sums added row by row, not as a matrix-vector product, whose
+        # rounding depends on how many BLAS threads share it
+        sums = block[:, : K * (D + 1)].sum(axis=0)
+        scale_sums = block[:, K * (D + 2) :].sum(axis=0)
         grads = [None, None]
         if need_rows:
             metric = lmath.metric_row(kernel_rows.shape[1] - 1)
@@ -524,10 +529,31 @@ def attention_weights(
     return scores / ad.take(denom, segments)
 
 
+def _distinct_pairs(node_rows: np.ndarray, dst: np.ndarray, src: np.ndarray):
+    """One representative edge per distinct (root row, neighbor row) pair
+    -> (reps, inverse) with edge e's pair at reps[inverse[e]], or None
+    when no pair repeats. Rows are told apart by their bytes, so -0.0 and
+    0.0 count as different, and any edge of a pair can stand for it. A
+    lone pair among E >= 2 edges is represented twice, since a one-row
+    tile would round differently (see _tiles)."""
+    rows = np.ascontiguousarray(node_rows)
+    row_bytes = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1]))).ravel()
+    ids = np.unique(row_bytes, return_inverse=True)[1]
+    pairs = ids[dst] * (int(ids.max()) + 1) + ids[src]
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    if len(distinct) == len(pairs):
+        return None
+    reps = np.empty(len(distinct), dtype=np.intp)
+    reps[inverse] = np.arange(len(pairs))
+    if len(reps) == 1:
+        reps = np.repeat(reps, 2)
+    return reps, inverse
+
+
 def hkconv_core(
-    center_rows,
-    neighbor_rows,
-    segments: np.ndarray,
+    node_rows,
+    dst: np.ndarray,
+    src: np.ndarray,
     num_segments: int,
     sublayers,
     kernel_rows,
@@ -537,25 +563,50 @@ def hkconv_core(
 ):
     """Batched kernel-point convolution over flattened neighborhoods.
 
-    center_rows / neighbor_rows   (E, in_dim+1) rows; entry e pairs the
-                                  root center_rows[e] with one neighbor
-    segments                      (E,) nondecreasing int segment ids in
-                                  [0, num_segments); every segment nonempty
-    sublayers                     per-kernel tuples in PARAM_NAMES order
-                                  (weight, gate_vec, bias, gate_bias,
-                                  log_scale)
-    kernel_rows                   (K, in_dim+1) kernel coordinates
-    drop_masks                    optional per-kernel dropout masks
+    node_rows        (N, in_dim+1) rows
+    dst / src        (E,) int row ids; edge e pairs the root
+                     node_rows[dst[e]] with the neighbor node_rows[src[e]].
+                     dst is also the edge's segment id: nondecreasing, in
+                     [0, num_segments), every segment nonempty
+    sublayers        per-kernel tuples in PARAM_NAMES order (weight,
+                     gate_vec, bias, gate_bias, log_scale)
+    kernel_rows      (K, in_dim+1) kernel coordinates
+    drop_masks       optional per-kernel (E, out_dim) dropout masks
 
     Returns (num_segments, out_dim+1): one pooled point per segment. The
-    per-edge points come from one _edge_points node; the attention
-    weights and the segment sums of the pooling are nodes of their own.
+    per-edge points come from one _edge_points node; the root and
+    neighbor gathers, the attention weights and the segment sums of the
+    pooling are nodes of their own.
+
+    When node_rows is a plain ndarray and there are no dropout masks (the
+    first layer of a training pass, every layer of a no-tape forward),
+    _edge_points runs once per distinct (root row, neighbor row) pair and
+    its rows are gathered back to the edges. It is row-wise, so each edge
+    gets the bits it would get on its own, provided the node never works
+    on a single row when E >= 2: it runs on min(E, 2) rows or more.
+    Rows of a tensor are never merged, since rows that are equal by
+    coincidence may be different functions of the parameters.
     """
-    per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
+    pairs = None
+    if drop_masks is None and not isinstance(node_rows, ad.Tensor):
+        pairs = _distinct_pairs(node_rows, dst, src)
+    if pairs is None:
+        center_rows, neighbor_rows = ad.take(node_rows, dst), ad.take(node_rows, src)
+        per_edge = _edge_points(
+            center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks
+        )
+    else:
+        reps, inverse = pairs
+        per_pair = _edge_points(
+            node_rows[dst[reps]], node_rows[src[reps]], sublayers, kernel_rows, kappa
+        )
+        per_edge = ad.take(per_pair, inverse)
     w = None
     if pooling_weights == "attention":
-        w = attention_weights(center_rows, neighbor_rows, segments, num_segments, kappa)
-    return hcent_core(per_edge, w, segments, num_segments, kappa)
+        if pairs is not None:
+            center_rows, neighbor_rows = node_rows[dst], node_rows[src]
+        w = attention_weights(center_rows, neighbor_rows, dst, num_segments, kappa)
+    return hcent_core(per_edge, w, dst, num_segments, kappa)
 
 
 def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:
@@ -572,9 +623,9 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
             raise DimensionError("neighbor config mismatch")
     E = len(neighbors)
     out = hkconv_core(
-        np.tile(x.coords, (E, 1)),
-        np.stack([nb.coords for nb in neighbors]),
+        np.stack([x.coords] + [nb.coords for nb in neighbors]),
         np.zeros(E, dtype=np.int64),
+        np.arange(1, E + 1),
         1,
         [s.values() for s in p.sublayers],
         p.kernels.coords_array(),

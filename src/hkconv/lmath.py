@@ -31,6 +31,7 @@ long compositions pinned to the manifold.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,10 +51,13 @@ EMBED_MAX_RADIUS = 11.0
 EMBED_RESIDUAL_TOL = 1e-6
 
 
+@functools.cache
 def metric_row(dim: int) -> np.ndarray:
-    """Diagonal of the Lorentz metric, shape (dim+1,)."""
+    """Diagonal of the Lorentz metric, shape (dim+1,); one shared read-only
+    row per dimension."""
     row = np.ones(dim + 1)
     row[0] = -1.0
+    row.flags.writeable = False
     return row
 
 

@@ -3,14 +3,18 @@ loop, and checkpoint serialization."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
-from hkconv import layers, lmath
+from hkconv import cli, layers, lmath
 from hkconv.errors import (
     BuildError,
     DataFormatError,
@@ -18,6 +22,22 @@ from hkconv.errors import (
     NumericError,
     ParameterError,
 )
+
+
+# one gradient pass of the default model on criterion 9's suite, printed as
+# one "path digest" line per leaf
+_GRADIENT_DIGESTS = """
+import hashlib
+from hkconv import autodiff as ad, graphnet as gn
+data = gn.synth_trees_vs_random(200, 16, seed=0)
+model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
+idx = gn.split_indices(data, "train")
+def loss(leaves):
+    logits = gn.forward_logits(model, data, leaves, training=True)
+    return gn._nll(logits, data.labels[idx], idx, model.num_classes)
+for path, g in sorted(ad.grad(loss, model.store).items()):
+    print(path, hashlib.sha256(g.tobytes()).hexdigest())
+"""
 
 
 def _small_batch():
@@ -240,11 +260,13 @@ class TestModelAssembly:
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
 
-    @pytest.mark.parametrize("pooling, ops", (("uniform", 40), ("attention", 52)))
+    @pytest.mark.parametrize("pooling, ops", (("uniform", 41), ("attention", 53)))
     def test_gradient_tape_op_budget(self, pooling, ops):
         # each Lorentz map and each conv layer's edge points (recentering,
-        # kernel aggregation and normalization) is one tape node; this count
-        # is exact, so a change that re-inflates the tape shows here
+        # kernel aggregation and normalization) is one tape node, and the
+        # first layer's points, computed once per distinct row pair, are
+        # gathered back to the edges by one more; this count is exact, so a
+        # change that re-inflates the tape shows here
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
         model = gn.build_hkn(
             gn.HKNConfig(pooling_weights=pooling),
@@ -257,10 +279,54 @@ class TestModelAssembly:
         tape = ad.Tape(loss)
         assert sum(node.op != "leaf" for node in tape._nodes) == ops
 
+    @pytest.mark.parametrize("dropout, first_rows", ((0.0, 64), (0.3, 7872)))
+    def test_first_layer_runs_once_per_distinct_row_pair(self, monkeypatch, dropout, first_rows):
+        # criterion 9's suite: 9 distinct one-hot feature rows make 64
+        # distinct (root, neighbor) pairs among 7,872 edges; dropout masks
+        # differ per edge, so a dropout layer runs every edge
+        data = gn.synth_trees_vs_random(200, 16, seed=0)
+        model = gn.build_hkn(gn.HKNConfig(dropout=dropout), feature_dim=9, num_classes=2)
+        idx = gn.split_indices(data, "train")
+        edges = len(gn.edge_arrays(data)[0])
+        seen = []
+        inner = layers._edge_points
+
+        def spy(center_rows, *args):
+            out = inner(center_rows, *args)
+            seen.append((len(ad.value_of(center_rows)), isinstance(out, ad.Tensor)))
+            return out
+
+        def loss(leaves):
+            rng = np.random.default_rng(0)
+            logits = gn.forward_logits(model, data, leaves, training=True, rng=rng)
+            return gn._nll(logits, data.labels[idx], idx, model.num_classes)
+
+        monkeypatch.setattr(layers, "_edge_points", spy)
+        ad.grad(loss, model.store)
+        assert edges == 7872
+        assert seen == [(first_rows, True), (edges, True)]
+
+    def test_gradients_do_not_depend_on_the_blas_thread_count(self):
+        # one gradient pass on criterion 9's suite under one and two BLAS
+        # threads, each in its own process, gives the same leaf bits
+        src = Path(gn.__file__).resolve().parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, **dict.fromkeys(cli._BLAS_THREAD_VARS, threads))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", _GRADIENT_DIGESTS],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.append(done.stdout.splitlines())
+        assert len(digests[0]) == 41
+        assert digests[0] == digests[1]
+
     def test_gradient_pass_and_forward_memory_peaks(self):
         # criterion 9's suite; a recorded conv layer keeps its per-kernel
         # pre-normalization rows and per-row scalars, not per-kernel output
-        # rows, and a no-tape forward holds one tile of edge rows at a time
+        # rows, the first layer keeps them for its 64 distinct row pairs
+        # only, and a no-tape forward holds one tile of edge rows at a time
         data = gn.synth_trees_vs_random(200, 16, seed=0)
         model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
         idx = gn.split_indices(data, "train")
@@ -279,8 +345,8 @@ class TestModelAssembly:
             forward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grad_peak <= 31 * 2**20
-        assert forward_peak <= 8 * 2**20
+        assert grad_peak <= 24 * 2**20
+        assert forward_peak <= 6 * 2**20
 
     def test_features_beyond_the_embedding_range_are_rejected(self):
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)

@@ -212,8 +212,8 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
             rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
             g_x = block[:, : K * (D + 2)] @ rows
         g_params = block[:, : K * (D + 1)].T @ x
-        sums = np.ones(E) @ block[:, : K * (D + 1)]
-        scale_sums = np.ones(E) @ g_scales
+        sums = block[:, : K * (D + 1)].sum(axis=0)
+        scale_sums = g_scales.sum(axis=0)
         grads = [g_x]
         for k in range(K):
             _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
@@ -600,9 +600,9 @@ class TestHKConv:
             layers.HKConvParams(p.sublayers, p.kernels, pooling_weights="sideways")
         with pytest.raises(DimensionError):
             layers.hkconv_core(
-                np.tile(x.coords, (2, 1)),
-                np.stack([n.coords for n in nbrs[:2]]),
+                np.stack([x.coords] + [n.coords for n in nbrs[:2]]),
                 np.zeros(2, dtype=np.int64),
+                np.arange(1, 3),
                 1,
                 (),
                 p.kernels.coords_array(),
@@ -612,9 +612,8 @@ class TestHKConv:
 
     def test_gradients_match_finite_differences_both_poolings(self, cfg3, rng):
         x = manifold.random_point(rng, cfg3)
-        nbrs = np.stack([manifold.random_point(rng, cfg3).coords for _ in range(4)])
-        centers = np.tile(x.coords, (4, 1))
-        segments = np.zeros(4, dtype=np.int64)
+        rows = np.stack([x.coords] + [manifold.random_point(rng, cfg3).coords for _ in range(4)])
+        dst, src = np.zeros(4, dtype=np.int64), np.arange(1, 5)
         kernels = _fixed_kernels(rng, 3, cfg3).coords_array()
         for pooling in layers.POOLINGS:
             store = ad.ParamStore()
@@ -630,10 +629,130 @@ class TestHKConv:
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
-                    centers, nbrs, segments, 1, subs, kernels, pooling, cfg3.curvature,
+                    rows, dst, src, 1, subs, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
 
             report = ad.finite_diff_check(loss, store)
             assert max(report.values()) <= 1e-4
+
+
+def _per_edge_core(node_rows, dst, src, num_segments, sublayers, kernel_rows, pooling, kappa):
+    # hkconv_core with every edge's points computed from its own gathered rows
+    centers, neighbors = ad.take(node_rows, dst), ad.take(node_rows, src)
+    per_edge = layers._edge_points(centers, neighbors, sublayers, kernel_rows, kappa)
+    w = None
+    if pooling == "attention":
+        w = layers.attention_weights(centers, neighbors, dst, num_segments, kappa)
+    return layers.hcent_core(per_edge, w, dst, num_segments, kappa)
+
+
+class TestDistinctRowPairs:
+    """hkconv_core on constant node rows runs _edge_points once per
+    distinct (root row, neighbor row) pair and gathers its rows back to
+    the edges; every edge keeps the bits of its own per-edge row."""
+
+    kappa = -0.7
+    nodes = 40
+
+    def _graph(self, rng):
+        # one to six distinct neighbors per node, sorted by root
+        counts = rng.integers(1, 7, size=self.nodes)
+        dst = np.repeat(np.arange(self.nodes), counts)
+        src = np.concatenate([rng.choice(self.nodes, c, replace=False) for c in counts])
+        return dst, src
+
+    def _rows(self, rng, case, dim=5):
+        if case == "distinct":
+            feats = 0.5 * rng.standard_normal((self.nodes, dim))
+        elif case == "identical":
+            feats = np.full((self.nodes, dim), 0.3)
+        else:
+            # one-hot rows over three categories, as in the benchmark suites
+            feats = 0.8 * np.eye(dim)[rng.integers(0, 3, size=self.nodes)]
+            if case == "signed_zero":
+                # every other row's zeros negated: equal values, other bytes
+                half = feats[::2]
+                half[half == 0] = -0.0
+        return lmath.embed(feats, self.kappa)
+
+    @staticmethod
+    def _spy_rows(monkeypatch):
+        """The row count of every later _edge_points call."""
+        seen = []
+        inner = layers._edge_points
+
+        def spy(center_rows, *args):
+            seen.append(len(center_rows))
+            return inner(center_rows, *args)
+
+        monkeypatch.setattr(layers, "_edge_points", spy)
+        return seen
+
+    @pytest.mark.parametrize("pooling", layers.POOLINGS)
+    @pytest.mark.parametrize("case", ("repeated", "distinct", "identical", "signed_zero"))
+    def test_constant_rows_match_per_edge_rows_bitwise(self, rng, monkeypatch, case, pooling):
+        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 6)[2:]
+        rows = self._rows(rng, case)
+        dst, src = self._graph(rng)
+        fixed = (self.nodes, sublayers, kernel_rows, pooling, self.kappa)
+        want = _per_edge_core(rows, dst, src, *fixed)
+        pairs = {(rows[d].tobytes(), rows[s].tobytes()) for d, s in zip(dst, src)}
+        if case == "signed_zero":
+            signs = np.signbit(rows[rows == 0])
+            assert signs.any() and not signs.all()
+        seen = self._spy_rows(monkeypatch)
+        _assert_same_bits(layers.hkconv_core(rows, dst, src, *fixed), want)
+        # never a one-row node for two or more edges
+        assert seen == [max(len(pairs), 2)]
+        expected = {"repeated": len(pairs) < len(dst) / 2, "distinct": len(pairs) == len(dst)}
+        assert expected.get(case, True)
+
+    @pytest.mark.parametrize("pooling", layers.POOLINGS)
+    def test_a_lone_pair_runs_on_two_rows(self, rng, monkeypatch, pooling):
+        # one root and five copies of another row: a one-row node would
+        # take NumPy's matrix-vector path and round differently
+        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
+        rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)[[0, 1, 1, 1, 1, 1]]
+        dst, src = np.zeros(5, dtype=np.int64), np.arange(1, 6)
+        fixed = (1, sublayers, kernel_rows, pooling, self.kappa)
+        want = _per_edge_core(rows, dst, src, *fixed)
+        seen = self._spy_rows(monkeypatch)
+        _assert_same_bits(layers.hkconv_core(rows, dst, src, *fixed), want)
+        assert seen == [2]
+
+    @pytest.mark.parametrize("pooling", layers.POOLINGS)
+    def test_gradients_through_merged_rows(self, rng, pooling):
+        K = 3
+        kernel_rows, sublayers = _aggregation_inputs(rng, K, 6, out_dim=4)[2:]
+        rows = self._rows(rng, "repeated")
+        dst, src = self._graph(rng)
+        assert layers._distinct_pairs(rows, dst, src) is not None
+        store = ad.ParamStore()
+        for k, params in enumerate(sublayers):
+            for name, value in zip(layers.PARAM_NAMES, params):
+                store.add(f"k{k}.{name}", value)
+
+        def loss(core):
+            def run(leaves):
+                subs = [
+                    tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
+                    for k in range(K)
+                ]
+                out = core(rows, dst, src, self.nodes, subs, kernel_rows, pooling, self.kappa)
+                d = lmath.dist(out, lmath.origin_row(4, self.kappa), self.kappa)
+                return ad.sum(d * d)
+
+            return run
+
+        report = ad.finite_diff_check(loss(layers.hkconv_core), store)
+        assert len(report) == len(store.paths())
+        assert max(report.values()) <= 1e-4
+        # the per-pair adjoints, summed by the gather, differ from the
+        # per-edge ones by rounding only
+        got = ad.grad(loss(layers.hkconv_core), store)
+        want = ad.grad(loss(_per_edge_core), store)
+        for path in store.paths():
+            scale = np.max(np.abs(want[path]))
+            assert np.max(np.abs(got[path] - want[path])) <= 1e-12 * scale, path

@@ -355,3 +355,12 @@ class TestEmbedRange:
         z[1, 1] = np.nan
         with pytest.raises(DomainError, match="feature row 1"):
             lmath.check_embed_range(z, -1.0)
+
+
+def test_metric_row_is_one_shared_read_only_row_per_dimension():
+    row = lmath.metric_row(4)
+    np.testing.assert_array_equal(row, [-1.0, 1.0, 1.0, 1.0, 1.0])
+    assert lmath.metric_row(4) is row
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[1] = 2.0
