@@ -487,12 +487,108 @@ def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamS
     return store
 
 
+def _row_classes(rows: np.ndarray):
+    """Compact class ids of the rows of a nonempty 2-D integer array,
+    equal exactly when the rows are -> (ids, count)."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
+
+
+def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
+    """One step of colour refinement (1-WL) -> (labels, count): two nodes
+    share a class when they share a label and the sorted multiset of their
+    neighbors' labels.
+
+    labels holds ids in [0, count); src/dst are edge_arrays' (sorted by
+    dst, every node one edge or more). Keys are built per degree, one
+    (nodes x degree+1) block of the narrowest unsigned type at a time, so
+    they take O(N + E) memory however large the largest degree.
+    """
+    n = labels.size
+    degree = np.bincount(dst, minlength=n)
+    first = np.cumsum(degree) - degree
+    # neighbor labels sorted within each neighborhood; dst is sorted already
+    offset = dst * count
+    neighbor_labels = np.sort(offset + labels[src]) - offset
+    dtype = np.min_scalar_type(count - 1)
+    out = np.empty(n, dtype=np.intp)
+    total = 0
+    for d in np.unique(degree):
+        nodes = np.flatnonzero(degree == d)
+        keys = np.empty((nodes.size, d + 1), dtype=dtype)
+        keys[:, 0] = labels[nodes]
+        keys[:, 1:] = neighbor_labels[first[nodes, None] + np.arange(d)]
+        ids, found = _row_classes(keys)
+        out[nodes] = total + ids
+        total += found
+    return out, total
+
+
+def _representatives(labels: np.ndarray, count: int) -> np.ndarray:
+    """One node per class: reps[c] has label c."""
+    reps = np.empty(count, dtype=np.intp)
+    reps[labels] = np.arange(labels.size)
+    return reps
+
+
+def _class_layers(features, src, dst, depth: int, distinct: bool):
+    """What each conv layer runs on, from the data alone -> (feature_rows,
+    layer_edges, labels).
+
+    Two nodes with the same feature bytes and the same multiset of
+    neighbor classes get the same output of every layer, as the same
+    function of the parameters (the layer is row-wise and pools a
+    multiset in value-sorted order). So layer i works on one row per
+    depth-i class: feature_rows picks one node per depth-0 class (its
+    feature bytes), and layer_edges[i] = (roots, neighbors, segments,
+    count) lists the edges of one node per depth-(i+1) class, with the
+    depth-i classes of their ends and the depth-(i+1) class they pool
+    into, count classes in all. labels maps every node to its depth-depth
+    class, or is None when every node is its own class. With distinct
+    that holds from the start, and every edge runs in edge_arrays order,
+    as dropout masks need.
+    """
+    n = features.shape[0]
+    degree = np.bincount(dst, minlength=n)
+    first = np.cumsum(degree) - degree
+    # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
+    labels, count = (None, n) if distinct else _row_classes(features.view(np.uint64))
+    if count == n:
+        # every node its own class, in node order
+        labels = np.arange(n)
+    feature_rows = _representatives(labels, count)
+    layer_edges = []
+    for _ in range(depth):
+        refined, refined_count = labels, count
+        if count < n:
+            refined, refined_count = _refine(labels, count, src, dst)
+            if refined_count == n:
+                refined = np.arange(n)
+        reps = _representatives(refined, refined_count)
+        sizes = degree[reps]
+        ends = np.cumsum(sizes)
+        edges = np.repeat(first[reps] - (ends - sizes), sizes) + np.arange(ends[-1])
+        segments = np.repeat(np.arange(refined_count), sizes)
+        layer_edges.append((labels[dst[edges]], labels[src[edges]], segments, refined_count))
+        labels, count = refined, refined_count
+    return feature_rows, layer_edges, labels if count < n else None
+
+
 def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, rng=None):
     """Logit rows (one per graph for graph tasks, per node otherwise).
 
     leaves defaults to the store's current arrays; during training it is
     the tensor view created by the gradient driver. Dropout masks are
-    drawn only when training with cfg.dropout > 0.
+    drawn only when training with cfg.dropout > 0. Each conv layer runs
+    once per structural node class (_class_layers), and one gather maps
+    the last layer's class rows to the nodes; with dropout every node is
+    its own class.
     """
     cfg = model.cfg
     if batch.feature_dim != model.feature_dim:
@@ -501,17 +597,21 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
         )
     if batch.task != cfg.task:
         raise BuildError(f"data task {batch.task!r} != model task {cfg.task!r}")
+    dropout = training and cfg.dropout > 0.0
+    if dropout and rng is None:
+        raise ParameterError("dropout needs the training rng")
     leaves = dict(model.store.items()) if leaves is None else leaves
     kappa = cfg.curvature
     src, dst = edge_arrays(batch)
     num_edges = src.shape[0]
     lmath.check_embed_range(batch.features, kappa)
-    x = lmath.embed(batch.features, kappa)
-    for i in range(cfg.layers):
+    feature_rows, layer_edges, labels = _class_layers(
+        batch.features, src, dst, cfg.layers, dropout
+    )
+    x = lmath.embed(batch.features[feature_rows], kappa)
+    for i, (roots, neighbors, segments, count) in enumerate(layer_edges):
         drop_masks = None
-        if training and cfg.dropout > 0.0:
-            if rng is None:
-                raise ParameterError("dropout needs the training rng")
+        if dropout:
             keep = 1.0 - cfg.dropout
             drop_masks = [
                 (rng.random((num_edges, cfg.hidden_dim)) < keep) / keep
@@ -519,9 +619,10 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             ]
         x = layers.hkconv_core(
             x,
-            dst,
-            src,
-            batch.num_nodes,
+            roots,
+            neighbors,
+            segments,
+            count,
             [
                 tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)
                 for k in range(cfg.K)
@@ -531,6 +632,8 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             kappa,
             drop_masks,
         )
+    if labels is not None:
+        x = ad.take(x, labels)
     if cfg.task == "graph":
         units = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)
     else:

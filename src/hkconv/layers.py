@@ -17,12 +17,15 @@ The building blocks:
   It works on tiles of at most TILE_ROWS edges and keeps, for the
   backward, only the kernels' pre-normalization vectors and per-row
   scalars; the backward recomputes the rest tile by tile and stacks the
-  K kernels' adjoints side by side, so each adjoint (of the recentred
-  rows, of the weights and gate directions, of the biases) is one
-  full-height matrix product across all kernels. When the node rows are
-  constants (a plain ndarray, no dropout masks), that node runs once per
-  distinct (root row, neighbor row) pair, on no fewer than min(E, 2)
-  rows, and its rows are gathered back to the E edges (hkconv_core).
+  K kernels' adjoints side by side, so the recentred rows' adjoint is one
+  full-height matrix product across all kernels, and the weights' and
+  gate directions' adjoints one small product per tile and kernel.
+  hkconv_core names each edge's root and neighbor by row id; without
+  dropout masks, edges with the same (root id, neighbor id) pair share
+  one row of that node (on no fewer than min(E, 2) rows), gathered back
+  to the edges. One id is one row, so one function of the parameters,
+  for constant and recorded rows alike; graphnet passes one row per
+  structural node class, so each layer runs once per class pair.
 
 Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
@@ -403,8 +406,9 @@ def _edge_points(
     affine-map, gate-logit, acosh and gate-scale adjoints, tile by tile,
     into column blocks of one (E, K * (out_dim+3)) buffer. One full-height
     product over that buffer then gives the adjoint of the recentred
-    rows, one the adjoints of all weights and gate directions, and one
-    those of all biases and gate biases. The recentred rows' adjoint, and
+    rows, one product per tile and kernel, summed over the tiles, the
+    adjoints of the weights and gate directions, and column sums those
+    of the biases and gate biases. The recentred rows' adjoint, and
     the kernel terms only it needs, are computed, and the per-row scalars
     they read kept, only when the root or neighbor rows are recorded (not
     in the first conv layer).
@@ -481,7 +485,15 @@ def _edge_points(
         block = adjoint_block(g, points, tiles)
         c = np.concatenate([tile[1] for tile in tiles])
         feats = lmath._boosted(nbr, ctr, c, kappa)
-        g_params = block[:, : K * (D + 1)].T @ feats
+        # weight and gate-direction adjoints summed over tiles, one product
+        # per tile and kernel: OpenBLAS splits a product of more than about
+        # 1e6 multiply-adds across threads and rounds it differently, and at
+        # widths up to about 30 these stay below that
+        g_params = np.zeros((K * (D + 1), feats.shape[1]))
+        kernel_cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(K * D, K * (D + 1))]
+        for rows, *_ in tiles:
+            for cols in kernel_cols:
+                g_params[cols] += block[rows, cols].T @ feats[rows]
         # column sums added row by row, not as a matrix-vector product, whose
         # rounding depends on how many BLAS threads share it
         sums = block[:, : K * (D + 1)].sum(axis=0)
@@ -529,31 +541,11 @@ def attention_weights(
     return scores / ad.take(denom, segments)
 
 
-def _distinct_pairs(node_rows: np.ndarray, dst: np.ndarray, src: np.ndarray):
-    """One representative edge per distinct (root row, neighbor row) pair
-    -> (reps, inverse) with edge e's pair at reps[inverse[e]], or None
-    when no pair repeats. Rows are told apart by their bytes, so -0.0 and
-    0.0 count as different, and any edge of a pair can stand for it. A
-    lone pair among E >= 2 edges is represented twice, since a one-row
-    tile would round differently (see _tiles)."""
-    rows = np.ascontiguousarray(node_rows)
-    row_bytes = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[-1]))).ravel()
-    ids = np.unique(row_bytes, return_inverse=True)[1]
-    pairs = ids[dst] * (int(ids.max()) + 1) + ids[src]
-    distinct, inverse = np.unique(pairs, return_inverse=True)
-    if len(distinct) == len(pairs):
-        return None
-    reps = np.empty(len(distinct), dtype=np.intp)
-    reps[inverse] = np.arange(len(pairs))
-    if len(reps) == 1:
-        reps = np.repeat(reps, 2)
-    return reps, inverse
-
-
 def hkconv_core(
-    node_rows,
-    dst: np.ndarray,
-    src: np.ndarray,
+    rows,
+    roots: np.ndarray,
+    neighbors: np.ndarray,
+    segments: np.ndarray,
     num_segments: int,
     sublayers,
     kernel_rows,
@@ -563,50 +555,50 @@ def hkconv_core(
 ):
     """Batched kernel-point convolution over flattened neighborhoods.
 
-    node_rows        (N, in_dim+1) rows
-    dst / src        (E,) int row ids; edge e pairs the root
-                     node_rows[dst[e]] with the neighbor node_rows[src[e]].
-                     dst is also the edge's segment id: nondecreasing, in
-                     [0, num_segments), every segment nonempty
-    sublayers        per-kernel tuples in PARAM_NAMES order (weight,
-                     gate_vec, bias, gate_bias, log_scale)
-    kernel_rows      (K, in_dim+1) kernel coordinates
-    drop_masks       optional per-kernel (E, out_dim) dropout masks
+    rows               (N, in_dim+1) rows
+    roots / neighbors  (E,) int row ids; edge e pairs the root
+                       rows[roots[e]] with the neighbor rows[neighbors[e]]
+    segments           (E,) the edge's output row, in [0, num_segments),
+                       every segment nonempty
+    sublayers          per-kernel tuples in PARAM_NAMES order (weight,
+                       gate_vec, bias, gate_bias, log_scale)
+    kernel_rows        (K, in_dim+1) kernel coordinates
+    drop_masks         optional per-kernel (E, out_dim) dropout masks
 
     Returns (num_segments, out_dim+1): one pooled point per segment. The
-    per-edge points come from one _edge_points node; the root and
-    neighbor gathers, the attention weights and the segment sums of the
-    pooling are nodes of their own.
+    per-edge points come from one _edge_points node; the row gathers, the
+    attention weights and the segment sums of the pooling are nodes of
+    their own.
 
-    When node_rows is a plain ndarray and there are no dropout masks (the
-    first layer of a training pass, every layer of a no-tape forward),
-    _edge_points runs once per distinct (root row, neighbor row) pair and
-    its rows are gathered back to the edges. It is row-wise, so each edge
-    gets the bits it would get on its own, provided the node never works
-    on a single row when E >= 2: it runs on min(E, 2) rows or more.
-    Rows of a tensor are never merged, since rows that are equal by
-    coincidence may be different functions of the parameters.
+    Without dropout masks (which differ per edge), edges with the same
+    (root id, neighbor id) pair share one row of _edge_points, gathered
+    back to them. One id is one row, and so one function of the
+    parameters, whether rows is a constant or a tensor. The node is
+    row-wise, so each edge gets the bits it would get on its own,
+    provided it never works on a single row when E >= 2: it runs on
+    min(E, 2) rows or more. Pooling adds each segment in value-sorted
+    order, so it depends only on the multiset of its edges' points.
     """
-    pairs = None
-    if drop_masks is None and not isinstance(node_rows, ad.Tensor):
-        pairs = _distinct_pairs(node_rows, dst, src)
-    if pairs is None:
-        center_rows, neighbor_rows = ad.take(node_rows, dst), ad.take(node_rows, src)
-        per_edge = _edge_points(
-            center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks
-        )
-    else:
-        reps, inverse = pairs
-        per_pair = _edge_points(
-            node_rows[dst[reps]], node_rows[src[reps]], sublayers, kernel_rows, kappa
-        )
-        per_edge = ad.take(per_pair, inverse)
+    pair_roots, pair_neighbors, inverse = roots, neighbors, None
+    if drop_masks is None:
+        n = ad.value_of(rows).shape[0]
+        pairs, inverse = np.unique(roots * n + neighbors, return_inverse=True)
+        if pairs.size == roots.size:
+            inverse = None
+        else:
+            # a lone pair runs on two rows, since a one-row tile would
+            # round differently (see _tiles)
+            pair_roots, pair_neighbors = np.divmod(np.resize(pairs, max(pairs.size, 2)), n)
+    center_rows, neighbor_rows = ad.take(rows, pair_roots), ad.take(rows, pair_neighbors)
+    per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
+    if inverse is not None:
+        per_edge = ad.take(per_edge, inverse)
     w = None
     if pooling_weights == "attention":
-        if pairs is not None:
-            center_rows, neighbor_rows = node_rows[dst], node_rows[src]
-        w = attention_weights(center_rows, neighbor_rows, dst, num_segments, kappa)
-    return hcent_core(per_edge, w, dst, num_segments, kappa)
+        if inverse is not None:
+            center_rows, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
+        w = attention_weights(center_rows, neighbor_rows, segments, num_segments, kappa)
+    return hcent_core(per_edge, w, segments, num_segments, kappa)
 
 
 def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:
@@ -626,6 +618,7 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
         np.stack([x.coords] + [nb.coords for nb in neighbors]),
         np.zeros(E, dtype=np.int64),
         np.arange(1, E + 1),
+        np.zeros(E, dtype=np.int64),
         1,
         [s.values() for s in p.sublayers],
         p.kernels.coords_array(),

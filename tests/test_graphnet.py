@@ -24,19 +24,30 @@ from hkconv.errors import (
 )
 
 
-# one gradient pass of the default model on criterion 9's suite, printed as
-# one "path digest" line per leaf
+# one gradient pass of the default model on criterion 9's suite, and of a
+# K=8 attention model on a node task over the same graph, printed as one
+# "path digest" line per leaf
 _GRADIENT_DIGESTS = """
 import hashlib
+import numpy as np
 from hkconv import autodiff as ad, graphnet as gn
 data = gn.synth_trees_vs_random(200, 16, seed=0)
-model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
-idx = gn.split_indices(data, "train")
-def loss(leaves):
-    logits = gn.forward_logits(model, data, leaves, training=True)
-    return gn._nll(logits, data.labels[idx], idx, model.num_classes)
-for path, g in sorted(ad.grad(loss, model.store).items()):
-    print(path, hashlib.sha256(g.tobytes()).hexdigest())
+folds = np.arange(data.num_nodes) % 5
+nodes = gn.GraphBatch(
+    data.features, data.edges, data.labels[data.graph_ids],
+    masks={"train": folds < 3, "val": folds == 3, "test": folds == 4},
+)
+for batch, cfg in (
+    (data, gn.HKNConfig()),
+    (nodes, gn.HKNConfig(K=8, pooling_weights="attention", task="node")),
+):
+    model = gn.build_hkn(cfg, feature_dim=batch.feature_dim, num_classes=2)
+    idx = gn.split_indices(batch, "train")
+    def loss(leaves):
+        logits = gn.forward_logits(model, batch, leaves, training=True)
+        return gn._nll(logits, batch.labels[idx], idx, model.num_classes)
+    for path, g in sorted(ad.grad(loss, model.store).items()):
+        print(cfg.task, path, hashlib.sha256(g.tobytes()).hexdigest())
 """
 
 
@@ -260,13 +271,15 @@ class TestModelAssembly:
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
 
-    @pytest.mark.parametrize("pooling, ops", (("uniform", 41), ("attention", 53)))
+    @pytest.mark.parametrize("pooling, ops", (("uniform", 43), ("attention", 57)))
     def test_gradient_tape_op_budget(self, pooling, ops):
         # each Lorentz map and each conv layer's edge points (recentering,
-        # kernel aggregation and normalization) is one tape node, and the
-        # first layer's points, computed once per distinct row pair, are
-        # gathered back to the edges by one more; this count is exact, so a
-        # change that re-inflates the tape shows here
+        # kernel aggregation and normalization) is one tape node; each
+        # layer's points, computed once per distinct class pair, are
+        # gathered back to its edges by one more, the second layer's class
+        # rows are gathered for its pairs (and, with attention, its edges),
+        # and one more gather maps the last class rows to the nodes; this
+        # count is exact, so a change that re-inflates the tape shows here
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
         model = gn.build_hkn(
             gn.HKNConfig(pooling_weights=pooling),
@@ -282,8 +295,10 @@ class TestModelAssembly:
     @pytest.mark.parametrize("dropout, first_rows", ((0.0, 64), (0.3, 7872)))
     def test_first_layer_runs_once_per_distinct_row_pair(self, monkeypatch, dropout, first_rows):
         # criterion 9's suite: 9 distinct one-hot feature rows make 64
-        # distinct (root, neighbor) pairs among 7,872 edges; dropout masks
-        # differ per edge, so a dropout layer runs every edge
+        # distinct (root, neighbor) pairs among 7,872 edges, and its 435
+        # depth-1 classes 3,926 distinct class pairs among the edges of one
+        # node per depth-2 class; dropout masks differ per edge, so every
+        # node is its own class and each dropout layer runs every edge
         data = gn.synth_trees_vs_random(200, 16, seed=0)
         model = gn.build_hkn(gn.HKNConfig(dropout=dropout), feature_dim=9, num_classes=2)
         idx = gn.split_indices(data, "train")
@@ -304,7 +319,8 @@ class TestModelAssembly:
         monkeypatch.setattr(layers, "_edge_points", spy)
         ad.grad(loss, model.store)
         assert edges == 7872
-        assert seen == [(first_rows, True), (edges, True)]
+        second_rows = 3926 if dropout == 0.0 else edges
+        assert seen == [(first_rows, True), (second_rows, True)]
 
     def test_gradients_do_not_depend_on_the_blas_thread_count(self):
         # one gradient pass on criterion 9's suite under one and two BLAS
@@ -319,14 +335,14 @@ class TestModelAssembly:
                 env=env, capture_output=True, text=True, check=True,
             )
             digests.append(done.stdout.splitlines())
-        assert len(digests[0]) == 41
+        assert len(digests[0]) == 41 + 81
         assert digests[0] == digests[1]
 
     def test_gradient_pass_and_forward_memory_peaks(self):
         # criterion 9's suite; a recorded conv layer keeps its per-kernel
         # pre-normalization rows and per-row scalars, not per-kernel output
-        # rows, the first layer keeps them for its 64 distinct row pairs
-        # only, and a no-tape forward holds one tile of edge rows at a time
+        # rows, for its distinct class pairs only (64 and 3,926 rows), and a
+        # no-tape forward holds one tile of edge rows at a time
         data = gn.synth_trees_vs_random(200, 16, seed=0)
         model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
         idx = gn.split_indices(data, "train")
@@ -345,8 +361,8 @@ class TestModelAssembly:
             forward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grad_peak <= 24 * 2**20
-        assert forward_peak <= 6 * 2**20
+        assert grad_peak <= 11.5 * 2**20
+        assert forward_peak <= 4.25 * 2**20
 
     def test_features_beyond_the_embedding_range_are_rejected(self):
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
@@ -383,6 +399,200 @@ class TestModelAssembly:
         wrong_K = kg.random_kernels(3, 16, seed=0)
         with pytest.raises(BuildError):
             gn.build_hkn(gn.HKNConfig(K=4), wrong_K, feature_dim=9, num_classes=2)
+
+
+def _reference_classes(labels, src, dst):
+    """One colour-refinement step in pure Python: a class per distinct
+    (class, sorted neighbor classes), numbered in order of first sight."""
+    neighbors = {v: [] for v in range(len(labels))}
+    for s, d in zip(src, dst):
+        neighbors[int(d)].append(int(labels[s]))
+    keys = {}
+    return [
+        keys.setdefault((int(labels[v]), tuple(sorted(neighbors[v]))), len(keys))
+        for v in range(len(labels))
+    ]
+
+
+def _assert_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _same_partition(a, b) -> bool:
+    """a and b put the same nodes together."""
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def _refinements(features, src, dst, depth):
+    """(graphnet's, the reference's) classes at depths 0..depth."""
+    feature_keys = {}
+    want = [[feature_keys.setdefault(row.tobytes(), len(feature_keys)) for row in features]]
+    got = [gn._row_classes(features.view(np.uint64))]
+    for _ in range(depth):
+        want.append(_reference_classes(want[-1], src, dst))
+        got.append(gn._refine(*got[-1], src, dst))
+    return [labels for labels, _ in got], want
+
+
+def _class_tree(n, seed, classes=4):
+    """A node task on one tree-like graph: node i >= 1 of class (i-1) % C
+    hangs off an earlier node of its class (the first off the root), n // 2
+    extra edges join nodes of one class, half the features name a random
+    class, and the non-root nodes split 40/20/40."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    members = [[] for _ in range(classes)]
+    edges = set()
+    for i in range(1, n):
+        c = (i - 1) % classes
+        edges.add((members[c][rng.integers(len(members[c]))] if members[c] else 0, i))
+        labels[i] = c
+        members[c].append(i)
+    while len(edges) < n - 1 + n // 2:
+        edges.add(tuple(sorted(rng.choice(members[rng.integers(classes)], 2, replace=False))))
+    shown = np.where(rng.random(n) < 0.5, rng.integers(0, classes, n), labels)
+    parts = np.split(rng.permutation(np.arange(1, n)), [int(0.4 * (n - 1)), int(0.6 * (n - 1))])
+    masks = {k: np.isin(np.arange(n), p) for k, p in zip(gn.SPLITS, parts)}
+    return gn.GraphBatch(np.eye(classes)[shown], np.array(sorted(edges)), labels, masks=masks)
+
+
+def _per_node_logits(model, batch, leaves, training=False, rng=None):
+    """forward_logits with every node its own class: each layer runs its
+    edge points on every edge, from the rows gathered for it."""
+    cfg, kappa = model.cfg, model.cfg.curvature
+    src, dst = gn.edge_arrays(batch)
+    x = lmath.embed(batch.features, kappa)
+    for i in range(cfg.layers):
+        masks = None
+        if training and cfg.dropout > 0.0:
+            keep = 1.0 - cfg.dropout
+            masks = [(rng.random((len(src), cfg.hidden_dim)) < keep) / keep for _ in range(cfg.K)]
+        subs = [
+            tuple(leaves[f"layer{i}.k{k}.{name}"] for name in layers.PARAM_NAMES)
+            for k in range(cfg.K)
+        ]
+        centers, neighbors = ad.take(x, dst), ad.take(x, src)
+        kernel_rows = model.layer_kernels[i].coords_array()
+        points = layers._edge_points(centers, neighbors, subs, kernel_rows, kappa, masks)
+        w = None
+        if cfg.pooling_weights == "attention":
+            w = layers.attention_weights(centers, neighbors, dst, batch.num_nodes, kappa)
+        x = layers.hcent_core(points, w, dst, batch.num_nodes, kappa)
+    if cfg.task == "graph":
+        x = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)
+    return -lmath.cross_dist(x, lmath.embed(leaves["head.centroids"], kappa), kappa)
+
+
+class TestStructuralClasses:
+    """Colour refinement against a pure-Python reference, and the forward
+    that runs each conv layer once per class against the per-node one."""
+
+    def test_refinement_matches_the_reference_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            n = int(rng.integers(5, 60))
+            pairs = {tuple(sorted(p)) for p in rng.integers(0, n, size=(2 * n, 2)) if p[0] != p[1]}
+            edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+            features = np.eye(3)[rng.integers(0, 1 + trial % 3, size=n)]
+            batch = gn.GraphBatch(features, edges, np.zeros(1), graph_ids=np.zeros(n, dtype=int))
+            got, want = _refinements(features, *gn.edge_arrays(batch), 4)
+            for depth, (a, b) in enumerate(zip(got, want)):
+                assert _same_partition(a, b), (trial, depth)
+
+    def test_isolated_nodes_refine_over_their_self_entries(self):
+        # nodes 3 and 4 have no edges, so edge_arrays gives each one self
+        # entry: node 4 (A, next to itself) matches node 0 (A, next to A) at
+        # depth 1 and not at depth 2, where node 0's neighbor is node 1 (A,
+        # next to A and B)
+        features = np.eye(2)[[0, 0, 1, 1, 0]]
+        batch = gn.GraphBatch(features, [[0, 1], [1, 2]], np.zeros(1), graph_ids=np.zeros(5, int))
+        src, dst = gn.edge_arrays(batch)
+        got, want = _refinements(features, src, dst, 3)
+        for a, b in zip(got, want):
+            assert _same_partition(a, b)
+        assert got[1][4] == got[1][0] and got[2][4] != got[2][0]
+        assert got[1][3] != got[1][2]
+
+    def test_neighbor_multisets_are_told_apart(self):
+        # roots 0 and 4 see {A, A, B} and roots 8 and 12 see {A, B, B}
+        hubs = [0, 4, 8, 12]
+        edges = [[h, h + j] for h in hubs for j in (1, 2, 3)]
+        kinds = {1: 0, 2: 0, 3: 1, 5: 1, 6: 0, 7: 0, 9: 0, 10: 1, 11: 1, 13: 1, 14: 0, 15: 1}
+        features = np.eye(3)[[2 if v in hubs else kinds[v] for v in range(16)]]
+        batch = gn.GraphBatch(features, edges, np.zeros(1), graph_ids=np.zeros(16, int))
+        labels = gn._refine(*gn._row_classes(features.view(np.uint64)), *gn.edge_arrays(batch))[0]
+        assert labels[0] == labels[4] and labels[8] == labels[12] and labels[0] != labels[8]
+
+    def test_signed_zero_features_are_distinct_classes(self):
+        features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        labels, count = gn._row_classes(features.view(np.uint64))
+        assert count == 2 and labels[0] == labels[2] != labels[1]
+
+    def test_hub_keys_take_memory_linear_in_the_edges(self):
+        # a star of degree 5,000: a (nodes x largest degree) key matrix
+        # would hold 25 million entries, 50 MB even as uint16
+        n = 5001
+        batch = gn.GraphBatch(
+            np.eye(2)[np.arange(n) % 2],
+            np.stack([np.zeros(n - 1, dtype=int), np.arange(1, n)], axis=1),
+            np.zeros(1),
+            graph_ids=np.zeros(n, int),
+        )
+        src, dst = gn.edge_arrays(batch)
+        labels, count = gn._row_classes(batch.features.view(np.uint64))
+        tracemalloc.start()
+        try:
+            refined, refined_count = gn._refine(labels, count, src, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        assert refined_count == 3
+        assert _same_partition(refined, _reference_classes(labels, src, dst))
+
+    @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "constant", "dropout"))
+    def test_logits_and_gradients_match_the_per_node_forward(self, suite):
+        data = gn.synth_trees_vs_random(200, 16, seed=0)
+        cfg = gn.HKNConfig()
+        if suite == "class_tree":
+            data = _class_tree(600, seed=3)
+            cfg = gn.HKNConfig(K=8, pooling_weights="attention", task="node")
+        elif suite == "distinct":
+            noise = np.random.default_rng(5).normal(0.0, 0.05, data.features.shape)
+            data = gn.GraphBatch(data.features + noise, data.edges, data.labels, graph_ids=data.graph_ids)
+        elif suite == "constant":
+            data = gn.GraphBatch(
+                np.full_like(data.features, 0.3), data.edges, data.labels, graph_ids=data.graph_ids
+            )
+        elif suite == "dropout":
+            cfg = gn.HKNConfig(K=3, dropout=0.3)
+        model = gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
+        idx = gn.split_indices(data, "train")
+        want = np.asarray(_per_node_logits(model, data, dict(model.store.items())))
+        _assert_bits(np.asarray(gn.forward_logits(model, data)), want)
+        recorded = {}
+
+        def loss(forward):
+            def run(leaves):
+                rng = np.random.Generator(np.random.Philox(key=7))
+                logits = forward(model, data, leaves, training=True, rng=rng)
+                recorded[forward] = ad.value_of(logits)
+                return gn._nll(logits, data.labels[idx], idx, model.num_classes)
+
+            return run
+
+        got_grads = ad.grad(loss(gn.forward_logits), model.store)
+        want_grads = ad.grad(loss(_per_node_logits), model.store)
+        _assert_bits(recorded[gn.forward_logits], recorded[_per_node_logits])
+        largest = max(np.max(np.abs(g)) for g in want_grads.values())
+        for path, g in want_grads.items():
+            scale = np.max(np.abs(g))
+            if suite == "constant" and path.startswith("layer0."):
+                # the second layer recentres equal rows to the origin, so the
+                # first layer's exact gradient is zero
+                scale = largest
+            assert np.max(np.abs(got_grads[path] - g)) <= 1e-12 * scale, path
 
 
 class TestTraining:

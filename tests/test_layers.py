@@ -211,7 +211,13 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
             metric = lmath.metric_row(kernel_rows.shape[1] - 1)
             rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
             g_x = block[:, : K * (D + 2)] @ rows
-        g_params = block[:, : K * (D + 1)].T @ x
+        # summed over the node's tiles, one product per tile and kernel, as
+        # the node sums them
+        g_params = np.zeros((K * (D + 1), x.shape[1]))
+        kernel_cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(K * D, K * (D + 1))]
+        for rows in layers._tiles(E):
+            for cols in kernel_cols:
+                g_params[cols] += block[rows, cols].T @ x[rows]
         sums = block[:, : K * (D + 1)].sum(axis=0)
         scale_sums = g_scales.sum(axis=0)
         grads = [g_x]
@@ -603,6 +609,7 @@ class TestHKConv:
                 np.stack([x.coords] + [n.coords for n in nbrs[:2]]),
                 np.zeros(2, dtype=np.int64),
                 np.arange(1, 3),
+                np.zeros(2, dtype=np.int64),
                 1,
                 (),
                 p.kernels.coords_array(),
@@ -629,7 +636,7 @@ class TestHKConv:
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
-                    rows, dst, src, 1, subs, kernels, pooling, cfg3.curvature,
+                    rows, dst, src, dst, 1, subs, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
@@ -638,30 +645,41 @@ class TestHKConv:
             assert max(report.values()) <= 1e-4
 
 
-def _per_edge_core(node_rows, dst, src, num_segments, sublayers, kernel_rows, pooling, kappa):
+def _per_edge_core(rows, roots, neighbors, segments, num_segments, sublayers, kernel_rows,
+                   pooling, kappa):
     # hkconv_core with every edge's points computed from its own gathered rows
-    centers, neighbors = ad.take(node_rows, dst), ad.take(node_rows, src)
-    per_edge = layers._edge_points(centers, neighbors, sublayers, kernel_rows, kappa)
+    centers, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
+    per_edge = layers._edge_points(centers, neighbor_rows, sublayers, kernel_rows, kappa)
     w = None
     if pooling == "attention":
-        w = layers.attention_weights(centers, neighbors, dst, num_segments, kappa)
-    return layers.hcent_core(per_edge, w, dst, num_segments, kappa)
+        w = layers.attention_weights(centers, neighbor_rows, segments, num_segments, kappa)
+    return layers.hcent_core(per_edge, w, segments, num_segments, kappa)
 
 
 class TestDistinctRowPairs:
-    """hkconv_core on constant node rows runs _edge_points once per
-    distinct (root row, neighbor row) pair and gathers its rows back to
-    the edges; every edge keeps the bits of its own per-edge row."""
+    """hkconv_core runs _edge_points once per distinct (root id, neighbor
+    id) pair and gathers its rows back to the edges; every edge keeps the
+    bits of its own per-edge row, and rows are never merged by value."""
 
     kappa = -0.7
     nodes = 40
+    segments = 30
 
-    def _graph(self, rng):
-        # one to six distinct neighbors per node, sorted by root
-        counts = rng.integers(1, 7, size=self.nodes)
-        dst = np.repeat(np.arange(self.nodes), counts)
-        src = np.concatenate([rng.choice(self.nodes, c, replace=False) for c in counts])
-        return dst, src
+    def _graph(self, rng, case):
+        # one to six edges per segment; roots and neighbors drawn with
+        # replacement from a few ids, as the edges of class representatives
+        # are, except in the all-distinct case
+        counts = rng.integers(1, 7, size=self.segments)
+        segments = np.repeat(np.arange(self.segments), counts)
+        if case == "distinct":
+            roots = segments.copy()
+            neighbors = np.concatenate(
+                [rng.choice(self.nodes, c, replace=False) for c in counts]
+            )
+        else:
+            roots = rng.integers(0, 4, size=self.segments)[segments]
+            neighbors = rng.integers(0, 6, size=segments.size)
+        return roots, neighbors, segments
 
     def _rows(self, rng, case, dim=5):
         if case == "distinct":
@@ -684,7 +702,7 @@ class TestDistinctRowPairs:
         inner = layers._edge_points
 
         def spy(center_rows, *args):
-            seen.append(len(center_rows))
+            seen.append(len(ad.value_of(center_rows)))
             return inner(center_rows, *args)
 
         monkeypatch.setattr(layers, "_edge_points", spy)
@@ -695,41 +713,44 @@ class TestDistinctRowPairs:
     def test_constant_rows_match_per_edge_rows_bitwise(self, rng, monkeypatch, case, pooling):
         kernel_rows, sublayers = _aggregation_inputs(rng, 4, 6)[2:]
         rows = self._rows(rng, case)
-        dst, src = self._graph(rng)
-        fixed = (self.nodes, sublayers, kernel_rows, pooling, self.kappa)
-        want = _per_edge_core(rows, dst, src, *fixed)
-        pairs = {(rows[d].tobytes(), rows[s].tobytes()) for d, s in zip(dst, src)}
+        edges = self._graph(rng, case)
+        fixed = (self.segments, sublayers, kernel_rows, pooling, self.kappa)
+        want = _per_edge_core(rows, *edges, *fixed)
+        pairs = set(zip(edges[0], edges[1]))
         if case == "signed_zero":
             signs = np.signbit(rows[rows == 0])
             assert signs.any() and not signs.all()
         seen = self._spy_rows(monkeypatch)
-        _assert_same_bits(layers.hkconv_core(rows, dst, src, *fixed), want)
-        # never a one-row node for two or more edges
+        _assert_same_bits(layers.hkconv_core(rows, *edges, *fixed), want)
+        # one row per distinct id pair, whatever the rows hold, and never a
+        # one-row node for two or more edges
         assert seen == [max(len(pairs), 2)]
-        expected = {"repeated": len(pairs) < len(dst) / 2, "distinct": len(pairs) == len(dst)}
-        assert expected.get(case, True)
+        E = len(edges[0])
+        assert len(pairs) == E if case == "distinct" else len(pairs) < E / 2
 
     @pytest.mark.parametrize("pooling", layers.POOLINGS)
     def test_a_lone_pair_runs_on_two_rows(self, rng, monkeypatch, pooling):
-        # one root and five copies of another row: a one-row node would
-        # take NumPy's matrix-vector path and round differently
+        # five edges of one (root, neighbor) pair in two segments: a one-row
+        # node would take NumPy's matrix-vector path and round differently
         kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
-        rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)[[0, 1, 1, 1, 1, 1]]
-        dst, src = np.zeros(5, dtype=np.int64), np.arange(1, 6)
-        fixed = (1, sublayers, kernel_rows, pooling, self.kappa)
-        want = _per_edge_core(rows, dst, src, *fixed)
+        rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)
+        edges = (np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64), np.array([0, 0, 1, 1, 1]))
+        fixed = (2, sublayers, kernel_rows, pooling, self.kappa)
+        want = _per_edge_core(rows, *edges, *fixed)
         seen = self._spy_rows(monkeypatch)
-        _assert_same_bits(layers.hkconv_core(rows, dst, src, *fixed), want)
+        _assert_same_bits(layers.hkconv_core(rows, *edges, *fixed), want)
         assert seen == [2]
 
     @pytest.mark.parametrize("pooling", layers.POOLINGS)
     def test_gradients_through_merged_rows(self, rng, pooling):
+        # the rows are a tensor here (embedded leaves), as in every conv
+        # layer after the first: merged pairs are one function of them
         K = 3
         kernel_rows, sublayers = _aggregation_inputs(rng, K, 6, out_dim=4)[2:]
-        rows = self._rows(rng, "repeated")
-        dst, src = self._graph(rng)
-        assert layers._distinct_pairs(rows, dst, src) is not None
+        edges = self._graph(rng, "repeated")
+        assert len(set(zip(edges[0], edges[1]))) < len(edges[0]) / 2
         store = ad.ParamStore()
+        store.add("features", 0.5 * rng.standard_normal((self.nodes, 5)))
         for k, params in enumerate(sublayers):
             for name, value in zip(layers.PARAM_NAMES, params):
                 store.add(f"k{k}.{name}", value)
@@ -740,7 +761,8 @@ class TestDistinctRowPairs:
                     tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
                     for k in range(K)
                 ]
-                out = core(rows, dst, src, self.nodes, subs, kernel_rows, pooling, self.kappa)
+                rows = lmath.embed(leaves["features"], self.kappa)
+                out = core(rows, *edges, self.segments, subs, kernel_rows, pooling, self.kappa)
                 d = lmath.dist(out, lmath.origin_row(4, self.kappa), self.kappa)
                 return ad.sum(d * d)
 
