@@ -10,9 +10,10 @@ topological order.
 Design points:
 
 - 64-bit floats everywhere.
-- Every tape node comes from :func:`_lift` (``concatenate`` and ``stack``
-  build theirs by hand): a forward returns the output and what its
-  backward rule needs, and the rule gives all the node's adjoints at once.
+- Every tape node comes from :func:`_lift`, except ``concatenate``'s,
+  which is built by hand because the bench tracer wraps ``concatenate``
+  by name: a forward returns the output and what its backward rule
+  needs, and the rule gives all the node's adjoints at once.
   A composite map may be one node: its forward evaluates the same NumPy
   expressions as the chain of primitives it replaces, so values are
   unchanged, and its rule shares work between the adjoints.
@@ -21,6 +22,11 @@ Design points:
   live adjoints are those of the current frontier, not of the whole graph.
 - Adjoints of the clamped acosh are zero wherever the clamp is active, so
   distances have a zero subgradient at coincident points.
+- The primitives are those the model records, plus ``matmul``,
+  ``transpose``, ``sigmoid``, ``arccosh``, ``absolute`` and ``take_slice``
+  (``Tensor.__getitem__``), which no model path reaches: they stay as the
+  parts from which the tests' oracles rebuild the fused maps of lmath and
+  layers (the fused distances share ``arccosh``'s guarded adjoint).
 - ``segment_sum`` accumulates each segment in ascending value order per
   column. The order is then a function of the summand multiset alone, not
   of element labels, which makes permutation equivariance checks bitwise.
@@ -101,20 +107,8 @@ class Tensor:
     def __neg__(self):
         return negative(self)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, key):
         return take_slice(self, key)
-
-    def __abs__(self):
-        return absolute(self)
 
 
 def value_of(x) -> np.ndarray:
@@ -252,18 +246,6 @@ def negative(a):
     return _lift("negative", (a,), lambda x: (-x, ()), _per_input(lambda g: -g))
 
 
-def power(a, exponent):
-    if isinstance(exponent, Tensor):
-        raise BuildError("only constant exponents are supported")
-    c = float(exponent)
-    return _lift(
-        "power",
-        (a,),
-        lambda x: (x**c, (x,)),
-        _per_input(lambda g, x: g * c * x ** (c - 1.0)),
-    )
-
-
 def _matmul_adjoint_x(g, x, y):
     if x.ndim == 2:
         return g @ y.T if y.ndim == 2 else np.outer(g, y)
@@ -314,16 +296,10 @@ exp = _elementwise("exp", np.exp, lambda out, x: out)
 log = _elementwise("log", np.log, lambda out, x: 1.0 / x)
 cosh = _elementwise("cosh", np.cosh, lambda out, x: np.sinh(x))
 sinh = _elementwise("sinh", np.sinh, lambda out, x: np.cosh(x))
-tanh = _elementwise("tanh", np.tanh, lambda out, x: 1.0 - out * out)
 sigmoid = _elementwise(
     "sigmoid",
     lambda x: 1.0 / (1.0 + np.exp(-x)),
     lambda out, x: out * (1.0 - out),
-)
-relu = _elementwise(
-    "relu",
-    lambda x: np.where(x > 0.0, x, 0.0),
-    lambda out, x: (x > 0.0).astype(np.float64),
 )
 absolute = _elementwise("absolute", np.abs, lambda out, x: np.sign(x))
 
@@ -446,19 +422,6 @@ def concatenate(parts, axis=0):
     if not tensor_parents:
         return out_val
     return Tensor(out_val, tuple(tensor_parents), tuple(vjps), "concatenate")
-
-
-def stack(parts, axis=0):
-    parts = list(parts)
-    out_val = np.stack([value_of(p) for p in parts], axis=axis)
-    tensor_parents, vjps = [], []
-    for i, p in enumerate(parts):
-        if isinstance(p, Tensor):
-            tensor_parents.append(p)
-            vjps.append(lambda g, i=i: np.take(g, i, axis=axis))
-    if not tensor_parents:
-        return out_val
-    return Tensor(out_val, tuple(tensor_parents), tuple(vjps), "stack")
 
 
 def take(a, indices, axis=0):

@@ -286,7 +286,7 @@ def solve_kernels_verbose(
             trial = step
             if trial * max_norm > _MAX_DISPLACEMENT:
                 trial = _MAX_DISPLACEMENT / max_norm
-            proposal = np.asarray(lmath.exp(coords, -trial * rgrads, kappa))
+            proposal = lmath._exp(coords, -trial * rgrads, kappa)
             proposal_loss = _loss_value(proposal, kappa)
             if proposal_loss <= loss:
                 coords = proposal
@@ -336,9 +336,7 @@ def gradient_decay_experiment(
     origin_row = lmath.origin_row(2, cfg.curvature)
     rows = []
     for radius in radii:
-        coords = np.asarray(
-            lmath.exp(np.tile(origin_row, (K, 1)), radius * directions, cfg.curvature)
-        )
+        coords = lmath._exp(np.tile(origin_row, (K, 1)), radius * directions, cfg.curvature)
         grads = _euclidean_grads(coords, cfg.curvature, repulsion_only=True)
         rows.append((radius, float(np.sqrt(np.sum(grads * grads)))))
     return rows

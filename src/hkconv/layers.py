@@ -522,19 +522,16 @@ def _edge_points(
     return ad._lift("edge_points", inputs, forward, backward)
 
 
-def attention_weights(
-    center_rows, neighbor_rows, segments: np.ndarray, num_segments: int, kappa: float
-):
+def attention_weights(d, dim: int, segments: np.ndarray, num_segments: int):
     """Distance-based attention over flattened neighborhoods -> (E,) weights.
 
-    Edge e scores -d(center_e, neighbor_e)^2 / sqrt(n), n the spatial
-    dimension, and the weights are the softmax of the scores within each
-    segment (its largest score is subtracted before exponentiation), so
-    every segment's weights sum to one.
+    d holds each edge's distance d(center_e, neighbor_e) (lmath.dist) and
+    dim the spatial dimension n of the rows. Edge e scores -d_e^2 / sqrt(n),
+    and the weights are the softmax of the scores within each segment (its
+    largest score is subtracted before exponentiation), so every segment's
+    weights sum to one.
     """
-    d = lmath.dist(center_rows, neighbor_rows, kappa)
-    n = ad.value_of(center_rows).shape[-1] - 1
-    logits = -(d * d) / np.sqrt(float(n))
+    logits = -(d * d) / np.sqrt(float(dim))
     shift = ad.segment_max_value(ad.value_of(logits), segments, num_segments)
     scores = ad.exp(logits - shift[segments])
     denom = ad.segment_sum(scores, segments, num_segments)
@@ -568,7 +565,9 @@ def hkconv_core(
     Returns (num_segments, out_dim+1): one pooled point per segment. The
     per-edge points come from one _edge_points node; the row gathers, the
     attention weights and the segment sums of the pooling are nodes of
-    their own.
+    their own. Attention scores each edge by its root-neighbor distance:
+    lmath.dist runs on the rows _edge_points runs on, and its distances
+    are gathered to the edges with the same index as the points.
 
     Without dropout masks (which differ per edge), edges with the same
     (root id, neighbor id) pair share one row of _edge_points, gathered
@@ -591,13 +590,14 @@ def hkconv_core(
             pair_roots, pair_neighbors = np.divmod(np.resize(pairs, max(pairs.size, 2)), n)
     center_rows, neighbor_rows = ad.take(rows, pair_roots), ad.take(rows, pair_neighbors)
     per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
-    if inverse is not None:
-        per_edge = ad.take(per_edge, inverse)
     w = None
     if pooling_weights == "attention":
+        d = lmath.dist(center_rows, neighbor_rows, kappa)
         if inverse is not None:
-            center_rows, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
-        w = attention_weights(center_rows, neighbor_rows, segments, num_segments, kappa)
+            d = ad.take(d, inverse)
+        w = attention_weights(d, ad.value_of(rows).shape[-1] - 1, segments, num_segments)
+    if inverse is not None:
+        per_edge = ad.take(per_edge, inverse)
     return hcent_core(per_edge, w, segments, num_segments, kappa)
 
 

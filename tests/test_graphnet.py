@@ -271,15 +271,16 @@ class TestModelAssembly:
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
 
-    @pytest.mark.parametrize("pooling, ops", (("uniform", 43), ("attention", 57)))
+    @pytest.mark.parametrize("pooling, ops", (("uniform", 43), ("attention", 56)))
     def test_gradient_tape_op_budget(self, pooling, ops):
         # each Lorentz map and each conv layer's edge points (recentering,
         # kernel aggregation and normalization) is one tape node; each
         # layer's points, computed once per distinct class pair, are
-        # gathered back to its edges by one more, the second layer's class
-        # rows are gathered for its pairs (and, with attention, its edges),
-        # and one more gather maps the last class rows to the nodes; this
-        # count is exact, so a change that re-inflates the tape shows here
+        # gathered back to its edges by one more (and, with attention, the
+        # pairs' distances by another), the second layer's class rows are
+        # gathered for its pairs, and one more gather maps the last class
+        # rows to the nodes; this count is exact, so a change that
+        # re-inflates the tape shows here
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
         model = gn.build_hkn(
             gn.HKNConfig(pooling_weights=pooling),
@@ -477,7 +478,8 @@ def _per_node_logits(model, batch, leaves, training=False, rng=None):
         points = layers._edge_points(centers, neighbors, subs, kernel_rows, kappa, masks)
         w = None
         if cfg.pooling_weights == "attention":
-            w = layers.attention_weights(centers, neighbors, dst, batch.num_nodes, kappa)
+            d = lmath.dist(centers, neighbors, kappa)
+            w = layers.attention_weights(d, ad.value_of(x).shape[-1] - 1, dst, batch.num_nodes)
         x = layers.hcent_core(points, w, dst, batch.num_nodes, kappa)
     if cfg.task == "graph":
         x = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)

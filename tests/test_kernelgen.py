@@ -1,6 +1,7 @@
 """Kernel placement: closed-form loss fixtures, gradient oracles, solver
 convergence and determinism, radial-decay experiment, serialization."""
 
+import hashlib
 import json
 import math
 
@@ -147,6 +148,26 @@ class TestSolver:
         second = kg.solve_kernels(4, 2, kg.SolverConfig(seed=5), cfg2)
         np.testing.assert_array_equal(first.coords_array(), second.coords_array())
         assert first.provenance == "optimized"
+
+    @pytest.mark.parametrize(
+        "K, dim, iterations, digest",
+        (
+            (4, 9, 55, "80674615d58b3641f4ef6365a9fc21bb10abe65fb531f59dd07a2921d72593a0"),
+            (4, 16, 55, "0d198da437af9bed2207cfaea82e84611ed4f32ebaa2067863e1e845dadbc439"),
+            (8, 4, 57, "741d0a66ec833d29c4d497af5d2deb3ddb1f7878f3e802ef90fa070ae0cba984"),
+            (8, 16, 57, "bbafb4af58daa76f9fa1027c263e093e9140df0e38bd213b9fa70b988b7914cf"),
+        ),
+    )
+    def test_layer_solves_keep_their_iterations_and_bits(self, K, dim, iterations, digest):
+        # the placements build_hkn solves for the two benchmark models (seed
+        # 0, curvature -1): the SHA-256 of the float64 coordinates, recorded
+        # with NumPy on x86-64. A change to the step's exponential map or
+        # to the loss shows here as a changed count or digest
+        kernels, _, converged, iters = kg.solve_kernels_verbose(
+            K, dim, kg.SolverConfig(seed=0), manifold.ManifoldConfig(dim=dim)
+        )
+        assert converged and iters == iterations
+        assert hashlib.sha256(kernels.coords_array().tobytes()).hexdigest() == digest
 
     def test_accepted_loss_trace_never_increases(self, cfg2):
         ks, log, converged, _ = kg.solve_kernels_verbose(

@@ -69,7 +69,7 @@ class TestHLinear:
         for _ in range(20):
             p = layers.init_hlinear(rng, 3, 4)
             y = layers.hlinear(manifold.random_point(rng, cfg3), p)
-            inner = lmath.inner(y.coords, y.coords)
+            inner = lmath._inner(y.coords, y.coords)
             assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
             assert y.coords[0] > 0
 
@@ -424,7 +424,7 @@ class TestHCent:
         s = (w[:, None] * np.stack([p.coords for p in pts])).sum(axis=0)
         want = s / _lorentz_norm_scale(s, cfg3.curvature)
         np.testing.assert_allclose(got.coords, want, rtol=1e-12, atol=1e-14)
-        inner = lmath.inner(got.coords, got.coords)
+        inner = lmath._inner(got.coords, got.coords)
         assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
 
     def test_weight_scale_invariance(self, cfg3, rng):
@@ -499,7 +499,8 @@ class TestAttentionWeights:
     def test_rows_are_softmax_of_negative_squared_distance(self, cfg3, rng):
         sizes = (4, 1, 6, 2)
         roots, nbrs, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
-        w = layers.attention_weights(centers, flat, segments, len(sizes), cfg3.curvature)
+        d = lmath.dist(centers, flat, cfg3.curvature)
+        w = layers.attention_weights(d, cfg3.dim, segments, len(sizes))
         assert w.shape == (sum(sizes),)
         assert np.all(w >= 0)
         np.testing.assert_allclose(np.bincount(segments, weights=w), 1.0, rtol=1e-12)
@@ -510,12 +511,12 @@ class TestAttentionWeights:
     def test_edge_relabeling_permutes_weights_bitwise(self, cfg3, rng):
         sizes = (3, 1, 5)
         _, _, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
-        base = layers.attention_weights(centers, flat, segments, len(sizes), cfg3.curvature)
+        d = lmath.dist(centers, flat, cfg3.curvature)
+        base = layers.attention_weights(d, cfg3.dim, segments, len(sizes))
         for _ in range(4):
             perm = rng.permutation(segments.size)
-            out = layers.attention_weights(
-                centers[perm], flat[perm], segments[perm], len(sizes), cfg3.curvature
-            )
+            d = lmath.dist(centers[perm], flat[perm], cfg3.curvature)
+            out = layers.attention_weights(d, cfg3.dim, segments[perm], len(sizes))
             np.testing.assert_array_equal(out.view(np.int64), base[perm].view(np.int64))
 
 
@@ -549,7 +550,7 @@ class TestHKConv:
             x = manifold.random_point(rng, cfg3)
             nbrs = [manifold.random_point(rng, cfg3) for _ in range(4)]
             y = layers.hkconv(x, nbrs, p)
-            inner = lmath.inner(y.coords, y.coords)
+            inner = lmath._inner(y.coords, y.coords)
             assert abs(inner - 1.0 / cfg3.curvature) <= 1e-9
             assert y.coords[0] > 0
 
@@ -652,7 +653,9 @@ def _per_edge_core(rows, roots, neighbors, segments, num_segments, sublayers, ke
     per_edge = layers._edge_points(centers, neighbor_rows, sublayers, kernel_rows, kappa)
     w = None
     if pooling == "attention":
-        w = layers.attention_weights(centers, neighbor_rows, segments, num_segments, kappa)
+        d = lmath.dist(centers, neighbor_rows, kappa)
+        dim = ad.value_of(rows).shape[-1] - 1
+        w = layers.attention_weights(d, dim, segments, num_segments)
     return layers.hcent_core(per_edge, w, segments, num_segments, kappa)
 
 
