@@ -27,11 +27,11 @@ Design points:
   (``Tensor.__getitem__``), which no model path reaches: they stay as the
   parts from which the tests' oracles rebuild the fused maps of lmath and
   layers (the fused distances share ``arccosh``'s guarded adjoint).
-- ``segment_sum`` accumulates each segment in ascending value order per
-  column. The order is then a function of the summand multiset alone, not
-  of element labels, which makes permutation equivariance checks bitwise.
-  A stable sort within each segment, run for all segments of one length
-  at once, and one contiguous ``reduceat`` keep that order cheap.
+- ``segment_sum`` takes its rows grouped by segment and adds each run in
+  the order given, with one ``reduceat``; it never reorders by value.
+  Permutation equivariance stays bitwise because the callers give every
+  run in a structural order that relabelling cannot change: graphnet by
+  structural node class, the typed layers by the bytes of the rows.
 """
 
 from __future__ import annotations
@@ -456,68 +456,42 @@ def take_slice(a, key):
     return _lift("getitem", (a,), lambda x: (x[key], (x,)), _per_input(adjoint))
 
 
-def _segment_sum_sorted(vals: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    width = vals.shape[1]
-    out = np.zeros((num_segments, width))
-    counts = np.bincount(segments, minlength=num_segments)
-    rows = np.argsort(segments, kind="stable")
-    first = np.cumsum(counts) - counts
-    # runs[c] holds column c of every segment as one sorted run, the
-    # segments taken in `order`: one block per distinct segment length
-    runs = np.empty((width, segments.size))
-    order = []
-    at = 0
-    for length in np.unique(counts[counts > 0]):
-        segs = np.flatnonzero(counts == length)
-        block = vals.T[:, rows[first[segs, None] + np.arange(length)]]
-        # sorting a run of one or two cannot change its sum: x + y == y + x,
-        # and NaNs keep their index order. Stable: numpy's default sort can
-        # swap -0.0 for 0.0 in long rows
-        if length > 2:
-            block.sort(axis=-1, kind="stable")
-        runs[:, at : at + segs.size * length] = block.reshape(width, segs.size * length)
-        order.append(segs)
-        at += segs.size * length
-    if runs.size:
-        order = np.concatenate(order)
-        starts = np.cumsum(counts[order]) - counts[order]
-        sums = np.add.reduceat(runs.ravel(), (np.arange(width)[:, None] * at + starts).ravel())
-        out[order] = sums.reshape(width, order.size).T
-    return out[:, 0] if squeeze else out
+def segment_sum(values, counts):
+    """Sum consecutive runs of rows of ``values``: run i is the next
+    ``counts[i]`` rows, so the rows arrive grouped by segment.
 
-
-def segment_sum(values, segments, num_segments: int):
-    """Sum rows of ``values`` into ``num_segments`` buckets given by ``segments``.
-
-    Each (bucket, column) run is added in ascending value order, so the
-    result depends only on the multiset of summands per bucket; relabeling
-    elements can never change a bit of the output. Rows are grouped by
-    bucket with one stable argsort; buckets of equal length form one
-    (column, bucket, length) block, sorted stably along its last axis; one
-    ``np.add.reduceat`` reduces every run from contiguous memory. Each run
-    thus reaches numpy's add loop with the values, order (ties in index
-    order) and length that a per-column ``lexsort`` gives it, so the bits
-    equal that reference, pairwise summation of long runs included.
+    Each run is added in the order its rows are given: the caller fixes
+    the summation order, and the bits of a run's sum depend only on that
+    sequence of rows, not on where the run sits or on the other runs. One
+    ``np.add.reduceat`` reduces every run; its adjoint repeats each run's
+    adjoint row over the run. Every count must be at least 1, because
+    reduceat gives an empty run the next row instead of zero.
     """
-    segments = np.asarray(segments, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = _run_starts(counts)
+
+    def forward(x):
+        if x.shape[0] != counts.sum():
+            raise BuildError(f"{x.shape[0]} rows for runs of {int(counts.sum())} rows in all")
+        return np.add.reduceat(x, starts, axis=0), ()
+
     return _lift(
-        "segment_sum",
-        (values,),
-        lambda x: (_segment_sum_sorted(x, segments, num_segments), ()),
-        _per_input(lambda g: g[segments]),
+        "segment_sum", (values,), forward, _per_input(lambda g: np.repeat(g, counts, axis=0))
     )
 
 
-def segment_max_value(values, segments, num_segments: int) -> np.ndarray:
-    """Per-segment maximum as a constant (used for softmax stabilization)."""
-    vals = value_of(values)
-    segments = np.asarray(segments, dtype=np.int64)
-    out = np.full(num_segments, -np.inf)
-    np.maximum.at(out, segments, vals)
-    return out
+def _run_starts(counts: np.ndarray) -> np.ndarray:
+    """First row of each run of a grouped layout."""
+    if counts.ndim != 1 or np.any(counts < 1):
+        raise BuildError("segment counts must be a vector of counts >= 1")
+    return np.cumsum(counts) - counts
+
+
+def segment_max_value(values, counts) -> np.ndarray:
+    """Per-run maximum of grouped values (see segment_sum) as a constant,
+    used for softmax stabilization."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.maximum.reduceat(value_of(values), _run_starts(counts))
 
 
 def log_softmax(a, axis=-1):

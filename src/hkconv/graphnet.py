@@ -11,8 +11,11 @@ negated distances are the class logits.
 
 Every trainable leaf is a Euclidean array (reference points are stored as
 tangent coordinates and lifted in the forward pass), so plain Adam drives
-the whole network. All aggregation uses value-sorted summation, making
-node-relabeling equivariance exact at the bit level.
+the whole network. Every sum adds its rows in a structural order: the
+edges of a neighborhood by the structural class of the neighbor, the
+nodes of a graph by their own class (_class_layers). Class ids come from
+the feature bytes and the graph structure alone, never from node ids, so
+node-relabeling equivariance is exact at the bit level.
 """
 
 from __future__ import annotations
@@ -487,35 +490,27 @@ def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamS
     return store
 
 
-def _row_classes(rows: np.ndarray):
-    """Compact class ids of the rows of a nonempty 2-D integer array,
-    equal exactly when the rows are -> (ids, count)."""
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    return ids, int(np.count_nonzero(starts))
-
-
 def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
-    """One step of colour refinement (1-WL) -> (labels, count): two nodes
-    share a class when they share a label and the sorted multiset of their
-    neighbors' labels.
+    """One step of colour refinement (1-WL) -> (labels, count,
+    neighbor_labels): two nodes share a class when they share a label and
+    the sorted multiset of their neighbors' labels. neighbor_labels lists
+    each node's neighbor labels in ascending order, node after node.
 
     labels holds ids in [0, count); src/dst are edge_arrays' (sorted by
-    dst, every node one edge or more). Keys are built per degree, one
-    (nodes x degree+1) block of the narrowest unsigned type at a time, so
-    they take O(N + E) memory however large the largest degree.
+    dst, every node one edge or more). When every node is its own class
+    (count == N) no class can split, and the labels are returned as they
+    are. Keys are built per degree, one (nodes x degree+1) block of the
+    narrowest unsigned type at a time, so they take O(N + E) memory
+    however large the largest degree.
     """
     n = labels.size
-    degree = np.bincount(dst, minlength=n)
-    first = np.cumsum(degree) - degree
     # neighbor labels sorted within each neighborhood; dst is sorted already
     offset = dst * count
     neighbor_labels = np.sort(offset + labels[src]) - offset
+    if count == n:
+        return labels, count, neighbor_labels
+    degree = np.bincount(dst, minlength=n)
+    first = np.cumsum(degree) - degree
     dtype = np.min_scalar_type(count - 1)
     out = np.empty(n, dtype=np.intp)
     total = 0
@@ -524,10 +519,10 @@ def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
         keys = np.empty((nodes.size, d + 1), dtype=dtype)
         keys[:, 0] = labels[nodes]
         keys[:, 1:] = neighbor_labels[first[nodes, None] + np.arange(d)]
-        ids, found = _row_classes(keys)
+        ids, found = layers._row_classes(keys)
         out[nodes] = total + ids
         total += found
-    return out, total
+    return out, total, neighbor_labels
 
 
 def _representatives(labels: np.ndarray, count: int) -> np.ndarray:
@@ -543,41 +538,40 @@ def _class_layers(features, src, dst, depth: int, distinct: bool):
 
     Two nodes with the same feature bytes and the same multiset of
     neighbor classes get the same output of every layer, as the same
-    function of the parameters (the layer is row-wise and pools a
-    multiset in value-sorted order). So layer i works on one row per
-    depth-i class: feature_rows picks one node per depth-0 class (its
-    feature bytes), and layer_edges[i] = (roots, neighbors, segments,
-    count) lists the edges of one node per depth-(i+1) class, with the
-    depth-i classes of their ends and the depth-(i+1) class they pool
-    into, count classes in all. labels maps every node to its depth-depth
-    class, or is None when every node is its own class. With distinct
-    that holds from the start, and every edge runs in edge_arrays order,
-    as dropout masks need.
+    function of the parameters (the layer is row-wise and pools its edges
+    in neighbor-class order). So layer i works on one row per depth-i
+    class: feature_rows picks one node per depth-0 class (its feature
+    bytes), and layer_edges[i] = (roots, neighbors, counts, count) lists
+    the edges of one node per depth-(i+1) class, class after class, each
+    class's edges in ascending order of the neighbor's depth-i class:
+    roots and neighbors hold the depth-i classes of the edges' ends,
+    counts[c] the edges of class c, count the classes. Edges with the
+    same neighbor class carry the same rows, so that order leaves no tie
+    that could change a bit, and class ids depend on feature bytes and
+    structure alone, so no relabeling of the nodes changes it. labels
+    maps every node to its depth-depth class. With distinct every node is
+    its own class in node order, every edge runs in edge_arrays order, as
+    dropout masks need, and labels is None.
     """
     n = features.shape[0]
     degree = np.bincount(dst, minlength=n)
+    if distinct:
+        return np.arange(n), [(dst, src, degree, n)] * depth, None
     first = np.cumsum(degree) - degree
     # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
-    labels, count = (None, n) if distinct else _row_classes(features.view(np.uint64))
-    if count == n:
-        # every node its own class, in node order
-        labels = np.arange(n)
+    labels, count = layers._row_classes(features.view(np.uint64))
     feature_rows = _representatives(labels, count)
     layer_edges = []
     for _ in range(depth):
-        refined, refined_count = labels, count
-        if count < n:
-            refined, refined_count = _refine(labels, count, src, dst)
-            if refined_count == n:
-                refined = np.arange(n)
+        refined, refined_count, neighbor_labels = _refine(labels, count, src, dst)
         reps = _representatives(refined, refined_count)
         sizes = degree[reps]
         ends = np.cumsum(sizes)
         edges = np.repeat(first[reps] - (ends - sizes), sizes) + np.arange(ends[-1])
-        segments = np.repeat(np.arange(refined_count), sizes)
-        layer_edges.append((labels[dst[edges]], labels[src[edges]], segments, refined_count))
+        roots = np.repeat(labels[reps], sizes)
+        layer_edges.append((roots, neighbor_labels[edges], sizes, refined_count))
         labels, count = refined, refined_count
-    return feature_rows, layer_edges, labels if count < n else None
+    return feature_rows, layer_edges, labels
 
 
 def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, rng=None):
@@ -587,8 +581,9 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
     the tensor view created by the gradient driver. Dropout masks are
     drawn only when training with cfg.dropout > 0. Each conv layer runs
     once per structural node class (_class_layers), and one gather maps
-    the last layer's class rows to the nodes; with dropout every node is
-    its own class.
+    the last layer's class rows to the nodes, or to each graph's nodes in
+    ascending class order for the graph pooling; with dropout every node
+    is its own class, in node order.
     """
     cfg = model.cfg
     if batch.feature_dim != model.feature_dim:
@@ -609,7 +604,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
         batch.features, src, dst, cfg.layers, dropout
     )
     x = lmath.embed(batch.features[feature_rows], kappa)
-    for i, (roots, neighbors, segments, count) in enumerate(layer_edges):
+    for i, (roots, neighbors, counts, count) in enumerate(layer_edges):
         drop_masks = None
         if dropout:
             keep = 1.0 - cfg.dropout
@@ -621,8 +616,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             x,
             roots,
             neighbors,
-            segments,
-            count,
+            counts,
             [
                 tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)
                 for k in range(cfg.K)
@@ -632,12 +626,14 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             kappa,
             drop_masks,
         )
-    if labels is not None:
-        x = ad.take(x, labels)
     if cfg.task == "graph":
-        units = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)
+        # each graph's class rows, graph after graph, in ascending class order
+        classes = np.arange(count) if labels is None else labels
+        keys = np.sort(batch.graph_ids * count + classes)
+        rows = ad.take(x, keys % count)
+        units = layers.hcent_core(rows, None, np.bincount(batch.graph_ids), kappa)
     else:
-        units = x
+        units = x if labels is None else ad.take(x, labels)
     centroids = lmath.embed(leaves["head.centroids"], kappa)
     return -lmath.cross_dist(units, centroids, kappa)
 

@@ -213,7 +213,7 @@ def run_layers(trials: int, seed: int = 0) -> list:
         roots = np.stack([manifold.random_point(rng, cfg).coords for _ in sizes])
         nbrs = np.stack([manifold.random_point(rng, cfg).coords for _ in segments])
         d = lmath.dist(roots[segments], nbrs, cfg.curvature)
-        w = layers.attention_weights(d, cfg.dim, segments, sizes.size)
+        w = layers.attention_weights(d, cfg.dim, sizes)
         err = float(np.max(np.abs(np.bincount(segments, weights=w) - 1.0)))
         if np.any(w < 0):
             err = max(err, float(np.max(-w)))

@@ -31,8 +31,12 @@ Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
 networks drive directly. The typed functions (hlinear, hcent, hcdist,
 hkconv) validate LorentzPoint inputs and run the same core on one point or
-one neighborhood. Sums over neighbors run in a value-sorted order, so
-results do not depend on how the input happened to be labeled.
+one neighborhood. The cores pool rows that arrive grouped by segment and
+add each segment in the order given (autodiff.segment_sum), so the
+caller fixes the summation order. The typed functions give the rows in
+the order of their bytes (_byte_order), which no relabeling of the input
+can change, so their results never depend on how the input happened to
+be labeled; graphnet gives them in structural-class order.
 """
 
 from __future__ import annotations
@@ -276,19 +280,42 @@ class CentroidBank:
         return np.stack([c.coords for c in self.centroids])
 
 
-def hcent_core(points, weights, segments: np.ndarray, num_segments: int, kappa: float):
+def _row_classes(rows: np.ndarray):
+    """Compact class ids of the rows of a nonempty 2-D integer array,
+    equal exactly when the rows are -> (ids, count). The ids number the
+    distinct rows in lexicographic order (last column first), so they
+    depend on the rows' contents alone, never on their positions. Float
+    rows read through a uint64 view are ranked by their bytes, so -0.0
+    and 0.0 differ."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
+
+
+def _byte_order(rows: np.ndarray) -> np.ndarray:
+    """Positions of float rows in the order of their bytes: the sequence
+    of rows it gives is the same however the rows were ordered."""
+    return np.argsort(_row_classes(rows.view(np.uint64))[0])
+
+
+def hcent_core(points, weights, counts, kappa: float):
     """Weighted centroid of each segment of coordinate rows.
 
-    points (N, dim+1); weights (N,), or None to weight every row equally;
-    segments (N,) int ids in [0, num_segments). The weighted rows are added
-    in value-sorted order (per column), so any relabeling of the inputs
-    reproduces the result bit for bit; each sum is then normalized by the
-    magnitude of its Lorentz norm to land back on the manifold. Returns
-    (num_segments, dim+1).
+    points (N, dim+1), grouped by segment: segment i is the next
+    counts[i] >= 1 rows; weights (N,), or None to weight every row
+    equally. The weighted rows of a segment are added in the order given
+    (ad.segment_sum), so the caller's row order fixes the bits; each sum is
+    then normalized by the magnitude of its Lorentz norm to land back on
+    the manifold. Returns (len(counts), dim+1).
     """
     if weights is not None:
         points = _as_column(weights) * points
-    return lmath.normalize_timelike(ad.segment_sum(points, segments, num_segments), kappa)
+    return lmath.normalize_timelike(ad.segment_sum(points, counts), kappa)
 
 
 def hcent(points, nu: WeightVector) -> manifold.LorentzPoint:
@@ -303,7 +330,10 @@ def hcent(points, nu: WeightVector) -> manifold.LorentzPoint:
         if p.cfg.dim != cfg.dim or p.cfg.curvature != cfg.curvature:
             raise DimensionError("centroid input config mismatch")
     coords = np.stack([p.coords for p in points])
-    out = hcent_core(coords, nu.values, np.zeros(len(points), dtype=np.int64), 1, cfg.curvature)
+    # the (weight, point) rows in byte order: any reordering of the inputs
+    # adds the same sequence of rows
+    order = _byte_order(np.column_stack([nu.values, coords]))
+    out = hcent_core(coords[order], nu.values[order], [len(points)], cfg.curvature)
     return manifold.LorentzPoint(np.asarray(out)[0], cfg)
 
 
@@ -522,28 +552,30 @@ def _edge_points(
     return ad._lift("edge_points", inputs, forward, backward)
 
 
-def attention_weights(d, dim: int, segments: np.ndarray, num_segments: int):
+def attention_weights(d, dim: int, counts):
     """Distance-based attention over flattened neighborhoods -> (E,) weights.
 
-    d holds each edge's distance d(center_e, neighbor_e) (lmath.dist) and
-    dim the spatial dimension n of the rows. Edge e scores -d_e^2 / sqrt(n),
-    and the weights are the softmax of the scores within each segment (its
-    largest score is subtracted before exponentiation), so every segment's
+    d holds each edge's distance d(center_e, neighbor_e) (lmath.dist),
+    grouped by segment as hcent_core takes its rows, and dim the spatial
+    dimension n of the rows. Edge e scores -d_e^2 / sqrt(n), and the
+    weights are the softmax of the scores within each segment (its
+    largest score is subtracted before exponentiation, and the
+    exponentials are added in the order given), so every segment's
     weights sum to one.
     """
+    counts = np.asarray(counts, dtype=np.int64)
     logits = -(d * d) / np.sqrt(float(dim))
-    shift = ad.segment_max_value(ad.value_of(logits), segments, num_segments)
-    scores = ad.exp(logits - shift[segments])
-    denom = ad.segment_sum(scores, segments, num_segments)
-    return scores / ad.take(denom, segments)
+    shift = ad.segment_max_value(ad.value_of(logits), counts)
+    scores = ad.exp(logits - np.repeat(shift, counts))
+    denom = ad.segment_sum(scores, counts)
+    return scores / ad.take(denom, np.repeat(np.arange(counts.size), counts))
 
 
 def hkconv_core(
     rows,
     roots: np.ndarray,
     neighbors: np.ndarray,
-    segments: np.ndarray,
-    num_segments: int,
+    counts,
     sublayers,
     kernel_rows,
     pooling_weights: str,
@@ -555,14 +587,14 @@ def hkconv_core(
     rows               (N, in_dim+1) rows
     roots / neighbors  (E,) int row ids; edge e pairs the root
                        rows[roots[e]] with the neighbor rows[neighbors[e]]
-    segments           (E,) the edge's output row, in [0, num_segments),
-                       every segment nonempty
+    counts             edges per output row: the edges come grouped by
+                       segment, segment i being the next counts[i] >= 1
     sublayers          per-kernel tuples in PARAM_NAMES order (weight,
                        gate_vec, bias, gate_bias, log_scale)
     kernel_rows        (K, in_dim+1) kernel coordinates
     drop_masks         optional per-kernel (E, out_dim) dropout masks
 
-    Returns (num_segments, out_dim+1): one pooled point per segment. The
+    Returns (len(counts), out_dim+1): one pooled point per segment. The
     per-edge points come from one _edge_points node; the row gathers, the
     attention weights and the segment sums of the pooling are nodes of
     their own. Attention scores each edge by its root-neighbor distance:
@@ -575,8 +607,8 @@ def hkconv_core(
     parameters, whether rows is a constant or a tensor. The node is
     row-wise, so each edge gets the bits it would get on its own,
     provided it never works on a single row when E >= 2: it runs on
-    min(E, 2) rows or more. Pooling adds each segment in value-sorted
-    order, so it depends only on the multiset of its edges' points.
+    min(E, 2) rows or more. Pooling adds each segment's edges in the
+    order given, so the caller fixes the bits by the order of the edges.
     """
     pair_roots, pair_neighbors, inverse = roots, neighbors, None
     if drop_masks is None:
@@ -595,16 +627,18 @@ def hkconv_core(
         d = lmath.dist(center_rows, neighbor_rows, kappa)
         if inverse is not None:
             d = ad.take(d, inverse)
-        w = attention_weights(d, ad.value_of(rows).shape[-1] - 1, segments, num_segments)
+        w = attention_weights(d, ad.value_of(rows).shape[-1] - 1, counts)
     if inverse is not None:
         per_edge = ad.take(per_edge, inverse)
-    return hcent_core(per_edge, w, segments, num_segments, kappa)
+    return hcent_core(per_edge, w, counts, kappa)
 
 
 def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:
     """Typed single-neighborhood convolution rooted at x: hkconv_core on
-    one segment. Attention layers weight neighbors by their distance to
-    the root; uniform layers count them equally."""
+    one segment, the neighbors taken in the order of their coordinate
+    bytes, so their order in the input cannot change a bit. Attention
+    layers weight neighbors by their distance to the root; uniform layers
+    count them equally."""
     neighbors = list(neighbors)
     if not neighbors:
         raise ParameterError("neighborhood must be nonempty")
@@ -614,12 +648,12 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
         if nb.cfg.dim != x.cfg.dim or nb.cfg.curvature != x.cfg.curvature:
             raise DimensionError("neighbor config mismatch")
     E = len(neighbors)
+    coords = np.stack([nb.coords for nb in neighbors])
     out = hkconv_core(
-        np.stack([x.coords] + [nb.coords for nb in neighbors]),
+        np.concatenate([x.coords[None, :], coords[_byte_order(coords)]]),
         np.zeros(E, dtype=np.int64),
         np.arange(1, E + 1),
-        np.zeros(E, dtype=np.int64),
-        1,
+        [E],
         [s.values() for s in p.sublayers],
         p.kernels.coords_array(),
         p.pooling_weights,

@@ -18,7 +18,8 @@ the bench tracer hooks to time the recentering.
 
 Kernel placement steps its points with ``_exp``, the exponential map on
 raw arrays; no model path differentiates through one, so it has no tape
-op.
+op, and it evaluates ``_cosh_sinhc``'s expressions in NumPy directly
+rather than through the autodiff primitives' dispatch.
 
 Every row-wise contraction (Lorentz inner products, squared norms, the
 boost's and the normalization's dot products) goes through
@@ -158,7 +159,11 @@ def _exp(x: np.ndarray, v: np.ndarray, kappa: float) -> np.ndarray:
     velocity v. The time column is solved from the spatial part, which
     pins the rows to the manifold however long the chain of steps."""
     phi2 = (-kappa) * np.maximum(_inner(v, v), 0.0)
-    cosh_phi, sinhc_phi = _cosh_sinhc(phi2)
+    # _cosh_sinhc's expressions, without its tape dispatch
+    small = phi2 < _PHI2_MIN
+    phi = np.sqrt(np.maximum(phi2, _PHI2_MIN))
+    cosh_phi = np.where(small, 1.0 + phi2 / 2.0, np.cosh(phi))
+    sinhc_phi = np.where(small, 1.0 + phi2 / 6.0, np.sinh(phi) / phi)
     return _lifted(cosh_phi[..., None] * x[..., 1:] + sinhc_phi[..., None] * v[..., 1:], kappa)
 
 

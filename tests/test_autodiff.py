@@ -1,5 +1,5 @@
 """Reverse-mode engine: per-op gradients against central differences,
-value-canonical reductions, optimizer behavior, and failure modes."""
+grouped reductions, optimizer behavior, and failure modes."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
-from hkconv import invariants, lmath
+from hkconv import invariants, layers, lmath
 from hkconv.errors import BuildError, DimensionError, NumericError
 
 
@@ -119,10 +119,10 @@ class TestPrimitiveGradients:
     def test_reduction_ops_match_finite_differences(self, rng):
         store = ad.ParamStore()
         store.add("v", rng.standard_normal((6, 3)))
-        segments = np.array([2, 0, 1, 0, 2, 2])
+        counts = np.array([3, 1, 2])
 
         def loss(leaves):
-            pooled = ad.segment_sum(leaves["v"], segments, 3)
+            pooled = ad.segment_sum(leaves["v"], counts)
             logp = ad.log_softmax(pooled, axis=-1)
             return ad.negative(ad.mean(ad.take_slice(logp, (slice(None), 0))))
 
@@ -257,22 +257,18 @@ class TestRowdot:
         _assert_same_bits(out.value, ad._rowdot(a, v))
 
 
-def _lexsort_segment_sum(vals, segments, num_segments):
-    """Reference: one lexsort per column, then reduceat over each bucket."""
+def _run_by_run_sum(vals, counts):
+    """Reference: every (run, column) reduced on its own, from a contiguous
+    copy of just that run of the column, one numpy reduction each."""
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
-    out = np.zeros((num_segments, vals.shape[1]))
-    for j in range(vals.shape[1]):
-        col = vals[:, j]
-        order = np.lexsort((col, segments))
-        seg_sorted = segments[order]
-        if seg_sorted.size == 0:
-            continue
-        starts = np.flatnonzero(
-            np.concatenate(([True], seg_sorted[1:] != seg_sorted[:-1]))
-        )
-        out[seg_sorted[starts], j] = np.add.reduceat(col[order], starts)
+    out = np.zeros((len(counts), vals.shape[1]))
+    at = 0
+    for i, count in enumerate(counts):
+        for j in range(vals.shape[1]):
+            out[i, j] = np.add.reduceat(vals[at : at + count, j].copy(), [0])[0]
+        at += count
     return out[:, 0] if squeeze else out
 
 
@@ -287,40 +283,37 @@ def _assert_same_bits(out, ref):
 
 
 class TestSegmentSum:
+    """segment_sum adds each run of grouped rows in the order given; the
+    order is the caller's, and relabeling invariance comes from an order
+    that depends on the rows alone (the typed layers' byte order, the
+    structural class order of graphnet)."""
+
     # run lengths that reach each of numpy's summation paths: a single
     # element, the plain loop (< 9), the unrolled block (<= 128) and the
     # recursive pairwise split (> 128)
-    RUN_LENGTHS = (0, 1, 2, 5, 8, 9, 17, 64, 128, 129, 300, 1100)
+    RUN_LENGTHS = (1, 2, 5, 8, 9, 17, 64, 128, 129, 300, 1100)
 
     def _heavy_tailed(self, rng, shape):
         scale = 10.0 ** rng.integers(-12, 12, size=shape)
         return rng.standard_cauchy(shape) * scale
 
-    def test_bits_match_per_column_lexsort(self, rng):
+    def test_bits_match_each_run_summed_alone(self, rng):
+        # a run's bits depend on its own rows and their order only, not on
+        # where it sits or on the runs around it
         for _ in range(40):
-            n = int(rng.integers(1, 30))
-            lengths = rng.choice(self.RUN_LENGTHS, size=n)
-            segments = np.repeat(np.arange(n), lengths)
-            rng.shuffle(segments)
-            values = self._heavy_tailed(rng, (segments.size, int(rng.integers(1, 6))))
-            num_segments = n + int(rng.integers(0, 4))
-            _assert_same_bits(
-                ad.segment_sum(values, segments, num_segments),
-                _lexsort_segment_sum(values, segments, num_segments),
-            )
+            counts = rng.choice(self.RUN_LENGTHS, size=int(rng.integers(1, 30)))
+            values = self._heavy_tailed(rng, (counts.sum(), int(rng.integers(1, 6))))
+            _assert_same_bits(ad.segment_sum(values, counts), _run_by_run_sum(values, counts))
 
     def test_bits_match_for_one_dimensional_values(self, rng):
-        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
-        rng.shuffle(segments)
-        values = self._heavy_tailed(rng, segments.size)
-        out = ad.segment_sum(values, segments, len(self.RUN_LENGTHS) + 2)
-        assert out.ndim == 1
-        _assert_same_bits(out, _lexsort_segment_sum(values, segments, out.size))
+        counts = rng.permutation(self.RUN_LENGTHS)
+        values = self._heavy_tailed(rng, counts.sum())
+        out = ad.segment_sum(values, counts)
+        assert out.shape == (len(counts),)
+        _assert_same_bits(out, _run_by_run_sum(values, counts))
 
-    def _assert_bits_match_with_special_values(self, rng, lengths):
-        segments = np.repeat(np.arange(len(lengths)), lengths)
-        rng.shuffle(segments)
-        values = self._heavy_tailed(rng, (segments.size, 4))
+    def _assert_bits_match_with_special_values(self, rng, counts):
+        values = self._heavy_tailed(rng, (counts.sum(), 4))
         pick = rng.random(values.shape)
         values[pick < 0.1] = 0.0
         values[(pick >= 0.1) & (pick < 0.2)] = -0.0
@@ -330,61 +323,89 @@ class TestSegmentSum:
         # signed zeros only: a sum is -0.0 exactly when every summand is
         values[:, 3] = np.where(pick[:, 3] < 0.9, -0.0, 0.0)
         with np.errstate(invalid="ignore"):
-            out = ad.segment_sum(values, segments, len(lengths))
-            ref = _lexsort_segment_sum(values, segments, len(lengths))
+            out = ad.segment_sum(values, counts)
+            ref = _run_by_run_sum(values, counts)
         _assert_same_bits(out, ref)
+        runs = np.repeat(np.arange(counts.size), counts)
+        all_negative = np.bincount(runs, weights=~np.signbit(values[:, 3])) == 0
+        np.testing.assert_array_equal(np.signbit(out[:, 3]), all_negative)
 
     def test_bits_match_with_signed_zeros_infinities_and_nans(self, rng):
-        self._assert_bits_match_with_special_values(rng, self.RUN_LENGTHS)
+        self._assert_bits_match_with_special_values(rng, np.array(self.RUN_LENGTHS))
 
     def test_bits_match_when_most_runs_are_left_unsorted(self, rng):
-        # runs of one or two are summed unsorted, the neighbourhoods of
-        # most nodes in a sparse graph
-        lengths = rng.choice((1, 2, 2, 2, 3, 9), size=3000)
-        self._assert_bits_match_with_special_values(rng, lengths)
-        segments = np.repeat(np.arange(lengths.size), lengths)
-        rng.shuffle(segments)
-        values = self._heavy_tailed(rng, (segments.size, 3))
-        _assert_same_bits(
-            ad.segment_sum(values, segments, lengths.size),
-            _lexsort_segment_sum(values, segments, lengths.size),
-        )
+        # no run is ever sorted; runs of one to three are the neighbourhoods
+        # of most nodes in a sparse graph
+        counts = rng.choice((1, 2, 2, 2, 3, 9), size=3000)
+        self._assert_bits_match_with_special_values(rng, counts)
+        values = self._heavy_tailed(rng, (counts.sum(), 3))
+        _assert_same_bits(ad.segment_sum(values, counts), _run_by_run_sum(values, counts))
+
+    def test_rows_are_added_in_the_order_given(self):
+        # 1 + 1e16 - 1e16 rounds differently in these two orders; a sum
+        # that reordered the rows by value would give both the same bits
+        counts = [3]
+        first = ad.segment_sum(np.array([1.0, 1e16, -1e16]), counts)
+        second = ad.segment_sum(np.array([1e16, -1e16, 1.0]), counts)
+        assert first[0] != second[0]
 
     def test_bits_do_not_depend_on_row_order_within_segments(self, rng):
-        segments = np.repeat(np.arange(len(self.RUN_LENGTHS)), self.RUN_LENGTHS)
-        values = self._heavy_tailed(rng, (segments.size, 3))
-        base = ad.segment_sum(values, segments, len(self.RUN_LENGTHS))
-        _assert_same_bits(base, _lexsort_segment_sum(values, segments, base.shape[0]))
+        # once each run is put in the byte order of its rows, as the typed
+        # layers do, shuffling the rows of a run changes no bit
+        counts = np.array(self.RUN_LENGTHS)
+        runs = np.repeat(np.arange(counts.size), counts)
+        values = self._heavy_tailed(rng, (counts.sum(), 3))
+        values[rng.random(values.shape) < 0.1] = -0.0
+
+        def byte_ordered(vals, run_ids):
+            ranks = layers._row_classes(vals.view(np.uint64))[0]
+            return vals[np.lexsort((ranks, run_ids))]
+
+        base = ad.segment_sum(byte_ordered(values, runs), counts)
         for _ in range(5):
-            p = rng.permutation(segments.size)
-            _assert_same_bits(ad.segment_sum(values[p], segments[p], base.shape[0]), base)
+            p = rng.permutation(runs.size)
+            _assert_same_bits(ad.segment_sum(byte_ordered(values[p], runs[p]), counts), base)
 
     def test_empty_input_gives_zero_buckets(self):
-        out = ad.segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
-        np.testing.assert_array_equal(out, np.zeros((4, 3)))
-        flat = ad.segment_sum(np.zeros(0), np.zeros(0, dtype=np.int64), 2)
-        np.testing.assert_array_equal(flat, np.zeros(2))
+        out = ad.segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        assert out.shape == (0, 3)
+        assert ad.segment_sum(np.zeros(0), []).shape == (0,)
+
+    def test_empty_runs_and_miscounted_rows_are_build_errors(self, rng):
+        # reduceat would give an empty run the next run's first row
+        values = rng.standard_normal((4, 2))
+        with pytest.raises(BuildError, match="counts >= 1"):
+            ad.segment_sum(values, [2, 0, 2])
+        with pytest.raises(BuildError, match="4 rows"):
+            ad.segment_sum(values, [2, 1])
+        with pytest.raises(BuildError, match="counts >= 1"):
+            ad.segment_max_value(values[:, 0], [4, 0])
 
     def test_matches_bucketed_numpy_sums(self, rng):
         values = rng.standard_normal((8, 3))
-        segments = np.array([2, 0, 1, 0, 2, 2, 1, 0])
-        out = ad.segment_sum(values, segments, 4)
-        expected = np.zeros((4, 3))
-        for row, seg in zip(values, segments):
+        counts = np.array([3, 1, 4])
+        out = ad.segment_sum(values, counts)
+        expected = np.zeros((3, 3))
+        for row, seg in zip(values, np.repeat(np.arange(3), counts)):
             expected[seg] += row
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-15)
-        np.testing.assert_array_equal(out[3], np.zeros(3))
+        np.testing.assert_array_equal(out[1], values[3])
 
     def test_output_is_invariant_to_element_order_bitwise(self, rng):
-        # buckets accumulate in ascending value order, so relabeling rows
-        # can never change a single bit of the result
-        values = rng.standard_normal((40, 5))
+        # graphnet's rule: rows are the rows of a few classes, and each run
+        # is ordered by class id; rows that tie are the same row, so any
+        # relabeling of the elements sums the same sequence
+        class_rows = rng.standard_normal((5, 4))
+        classes = rng.integers(0, 5, size=40)
         segments = rng.integers(0, 6, size=40)
-        base = ad.segment_sum(values, segments, 6)
+        segments[:6] = np.arange(6)
+        counts = np.bincount(segments)
+        order = np.lexsort((classes, segments))
+        base = ad.segment_sum(class_rows[classes[order]], counts)
         for _ in range(10):
             p = rng.permutation(40)
-            shuffled = ad.segment_sum(values[p], segments[p], 6)
-            np.testing.assert_array_equal(shuffled, base)
+            order = np.lexsort((classes[p], segments[p]))
+            _assert_same_bits(ad.segment_sum(class_rows[classes[p][order]], counts), base)
 
     def test_take_accumulates_duplicate_indices(self):
         store = ad.ParamStore()

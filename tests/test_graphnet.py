@@ -429,10 +429,10 @@ def _refinements(features, src, dst, depth):
     """(graphnet's, the reference's) classes at depths 0..depth."""
     feature_keys = {}
     want = [[feature_keys.setdefault(row.tobytes(), len(feature_keys)) for row in features]]
-    got = [gn._row_classes(features.view(np.uint64))]
+    got = [layers._row_classes(features.view(np.uint64))]
     for _ in range(depth):
         want.append(_reference_classes(want[-1], src, dst))
-        got.append(gn._refine(*got[-1], src, dst))
+        got.append(gn._refine(*got[-1], src, dst)[:2])
     return [labels for labels, _ in got], want
 
 
@@ -459,30 +459,44 @@ def _class_tree(n, seed, classes=4):
 
 
 def _per_node_logits(model, batch, leaves, training=False, rng=None):
-    """forward_logits with every node its own class: each layer runs its
-    edge points on every edge, from the rows gathered for it."""
+    """forward_logits with every node its own row: each layer runs its
+    edge points on every edge, from the rows gathered for it, and pools
+    each node's edges in ascending order of the neighbor's class at that
+    depth (graphnet's classes, as _refinements gives them), then each
+    graph's nodes in ascending order of their last class. With dropout
+    every node is its own class, so edges pool in edge_arrays order and
+    nodes in node order."""
     cfg, kappa = model.cfg, model.cfg.curvature
     src, dst = gn.edge_arrays(batch)
+    if training and cfg.dropout > 0.0:
+        classes = [np.arange(batch.num_nodes)] * (cfg.layers + 1)
+    else:
+        classes = _refinements(batch.features, src, dst, cfg.layers)[0]
+    degree = np.bincount(dst)
     x = lmath.embed(batch.features, kappa)
     for i in range(cfg.layers):
         masks = None
         if training and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             masks = [(rng.random((len(src), cfg.hidden_dim)) < keep) / keep for _ in range(cfg.K)]
+        order = np.lexsort((classes[i][src], dst))
+        if masks is not None:
+            masks = [m[order] for m in masks]
         subs = [
             tuple(leaves[f"layer{i}.k{k}.{name}"] for name in layers.PARAM_NAMES)
             for k in range(cfg.K)
         ]
-        centers, neighbors = ad.take(x, dst), ad.take(x, src)
+        centers, neighbors = ad.take(x, dst[order]), ad.take(x, src[order])
         kernel_rows = model.layer_kernels[i].coords_array()
         points = layers._edge_points(centers, neighbors, subs, kernel_rows, kappa, masks)
         w = None
         if cfg.pooling_weights == "attention":
             d = lmath.dist(centers, neighbors, kappa)
-            w = layers.attention_weights(d, ad.value_of(x).shape[-1] - 1, dst, batch.num_nodes)
-        x = layers.hcent_core(points, w, dst, batch.num_nodes, kappa)
+            w = layers.attention_weights(d, ad.value_of(x).shape[-1] - 1, degree)
+        x = layers.hcent_core(points, w, degree, kappa)
     if cfg.task == "graph":
-        x = layers.hcent_core(x, None, batch.graph_ids, batch.num_graphs, kappa)
+        nodes = np.lexsort((classes[-1], batch.graph_ids))
+        x = layers.hcent_core(ad.take(x, nodes), None, np.bincount(batch.graph_ids), kappa)
     return -lmath.cross_dist(x, lmath.embed(leaves["head.centroids"], kappa), kappa)
 
 
@@ -523,12 +537,13 @@ class TestStructuralClasses:
         kinds = {1: 0, 2: 0, 3: 1, 5: 1, 6: 0, 7: 0, 9: 0, 10: 1, 11: 1, 13: 1, 14: 0, 15: 1}
         features = np.eye(3)[[2 if v in hubs else kinds[v] for v in range(16)]]
         batch = gn.GraphBatch(features, edges, np.zeros(1), graph_ids=np.zeros(16, int))
-        labels = gn._refine(*gn._row_classes(features.view(np.uint64)), *gn.edge_arrays(batch))[0]
+        classes = layers._row_classes(features.view(np.uint64))
+        labels = gn._refine(*classes, *gn.edge_arrays(batch))[0]
         assert labels[0] == labels[4] and labels[8] == labels[12] and labels[0] != labels[8]
 
     def test_signed_zero_features_are_distinct_classes(self):
         features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        labels, count = gn._row_classes(features.view(np.uint64))
+        labels, count = layers._row_classes(features.view(np.uint64))
         assert count == 2 and labels[0] == labels[2] != labels[1]
 
     def test_hub_keys_take_memory_linear_in_the_edges(self):
@@ -542,16 +557,36 @@ class TestStructuralClasses:
             graph_ids=np.zeros(n, int),
         )
         src, dst = gn.edge_arrays(batch)
-        labels, count = gn._row_classes(batch.features.view(np.uint64))
+        labels, count = layers._row_classes(batch.features.view(np.uint64))
         tracemalloc.start()
         try:
-            refined, refined_count = gn._refine(labels, count, src, dst)
+            refined, refined_count, _ = gn._refine(labels, count, src, dst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
         assert refined_count == 3
         assert _same_partition(refined, _reference_classes(labels, src, dst))
+
+    def test_all_distinct_features_relabel_bitwise(self):
+        # criterion 9's suite with N(0, 0.05^2) feature noise: every node is
+        # its own class, so every pooling order comes from the byte ranks of
+        # the feature rows, which a relabeling of the nodes cannot change
+        data = gn.synth_trees_vs_random(200, 16, seed=0)
+        noise = np.random.default_rng(5).normal(0.0, 0.05, data.features.shape)
+        data = gn.GraphBatch(
+            data.features + noise, data.edges, data.labels, graph_ids=data.graph_ids
+        )
+        assert layers._row_classes(data.features.view(np.uint64))[1] == data.num_nodes
+        perm = np.random.default_rng(7).permutation(data.num_nodes)
+        inv = np.argsort(perm)
+        moved = gn.GraphBatch(
+            data.features[inv], perm[data.edges], data.labels, graph_ids=data.graph_ids[inv]
+        )
+        model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=2)
+        _assert_bits(
+            np.asarray(gn.forward_logits(model, moved)), np.asarray(gn.forward_logits(model, data))
+        )
 
     @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "constant", "dropout"))
     def test_logits_and_gradients_match_the_per_node_forward(self, suite):

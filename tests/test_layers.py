@@ -441,7 +441,11 @@ class TestHCent:
         np.testing.assert_allclose(out.coords, x.coords, rtol=1e-12, atol=1e-14)
 
     def test_summation_order_is_value_canonical(self, cfg3, rng):
-        pts = [manifold.random_point(rng, cfg3) for _ in range(7)]
+        # hcent adds its (weight, point) rows in byte order, so reordering
+        # the inputs, a repeated point with two weights included, changes
+        # no bit
+        pts = [manifold.random_point(rng, cfg3) for _ in range(6)]
+        pts.append(pts[2])
         w = rng.uniform(0.1, 1.0, size=7)
         base = layers.hcent(pts, layers.WeightVector(w))
         for _ in range(5):
@@ -500,7 +504,7 @@ class TestAttentionWeights:
         sizes = (4, 1, 6, 2)
         roots, nbrs, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
         d = lmath.dist(centers, flat, cfg3.curvature)
-        w = layers.attention_weights(d, cfg3.dim, segments, len(sizes))
+        w = layers.attention_weights(d, cfg3.dim, sizes)
         assert w.shape == (sum(sizes),)
         assert np.all(w >= 0)
         np.testing.assert_allclose(np.bincount(segments, weights=w), 1.0, rtol=1e-12)
@@ -509,14 +513,24 @@ class TestAttentionWeights:
         assert w[segments == 1][0] == 1.0  # a lone neighbor takes all the weight
 
     def test_edge_relabeling_permutes_weights_bitwise(self, cfg3, rng):
+        # attention_weights adds each segment's exponentials in the order
+        # given; grouped by segment and put in the byte order of their
+        # (root, neighbor) rows, relabeled edges get their weights bit for bit
         sizes = (3, 1, 5)
         _, _, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
-        d = lmath.dist(centers, flat, cfg3.curvature)
-        base = layers.attention_weights(d, cfg3.dim, segments, len(sizes))
+
+        def weights(segments, centers, flat):
+            ranks = layers._row_classes(np.hstack([centers, flat]).view(np.uint64))[0]
+            order = np.lexsort((ranks, segments))
+            d = lmath.dist(centers[order], flat[order], cfg3.curvature)
+            w = np.empty(segments.size)
+            w[order] = layers.attention_weights(d, cfg3.dim, sizes)
+            return w
+
+        base = weights(segments, centers, flat)
         for _ in range(4):
             perm = rng.permutation(segments.size)
-            d = lmath.dist(centers[perm], flat[perm], cfg3.curvature)
-            out = layers.attention_weights(d, cfg3.dim, segments[perm], len(sizes))
+            out = weights(segments[perm], centers[perm], flat[perm])
             np.testing.assert_array_equal(out.view(np.int64), base[perm].view(np.int64))
 
 
@@ -610,8 +624,7 @@ class TestHKConv:
                 np.stack([x.coords] + [n.coords for n in nbrs[:2]]),
                 np.zeros(2, dtype=np.int64),
                 np.arange(1, 3),
-                np.zeros(2, dtype=np.int64),
-                1,
+                [2],
                 (),
                 p.kernels.coords_array(),
                 "uniform",
@@ -637,7 +650,7 @@ class TestHKConv:
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
-                    rows, dst, src, dst, 1, subs, kernels, pooling, cfg3.curvature,
+                    rows, dst, src, [4], subs, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
@@ -646,8 +659,7 @@ class TestHKConv:
             assert max(report.values()) <= 1e-4
 
 
-def _per_edge_core(rows, roots, neighbors, segments, num_segments, sublayers, kernel_rows,
-                   pooling, kappa):
+def _per_edge_core(rows, roots, neighbors, counts, sublayers, kernel_rows, pooling, kappa):
     # hkconv_core with every edge's points computed from its own gathered rows
     centers, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
     per_edge = layers._edge_points(centers, neighbor_rows, sublayers, kernel_rows, kappa)
@@ -655,8 +667,8 @@ def _per_edge_core(rows, roots, neighbors, segments, num_segments, sublayers, ke
     if pooling == "attention":
         d = lmath.dist(centers, neighbor_rows, kappa)
         dim = ad.value_of(rows).shape[-1] - 1
-        w = layers.attention_weights(d, dim, segments, num_segments)
-    return layers.hcent_core(per_edge, w, segments, num_segments, kappa)
+        w = layers.attention_weights(d, dim, counts)
+    return layers.hcent_core(per_edge, w, counts, kappa)
 
 
 class TestDistinctRowPairs:
@@ -682,7 +694,7 @@ class TestDistinctRowPairs:
         else:
             roots = rng.integers(0, 4, size=self.segments)[segments]
             neighbors = rng.integers(0, 6, size=segments.size)
-        return roots, neighbors, segments
+        return roots, neighbors, counts
 
     def _rows(self, rng, case, dim=5):
         if case == "distinct":
@@ -717,7 +729,7 @@ class TestDistinctRowPairs:
         kernel_rows, sublayers = _aggregation_inputs(rng, 4, 6)[2:]
         rows = self._rows(rng, case)
         edges = self._graph(rng, case)
-        fixed = (self.segments, sublayers, kernel_rows, pooling, self.kappa)
+        fixed = (sublayers, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         pairs = set(zip(edges[0], edges[1]))
         if case == "signed_zero":
@@ -737,8 +749,8 @@ class TestDistinctRowPairs:
         # node would take NumPy's matrix-vector path and round differently
         kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
         rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)
-        edges = (np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64), np.array([0, 0, 1, 1, 1]))
-        fixed = (2, sublayers, kernel_rows, pooling, self.kappa)
+        edges = (np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64), np.array([2, 3]))
+        fixed = (sublayers, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         seen = self._spy_rows(monkeypatch)
         _assert_same_bits(layers.hkconv_core(rows, *edges, *fixed), want)
@@ -765,7 +777,7 @@ class TestDistinctRowPairs:
                     for k in range(K)
                 ]
                 rows = lmath.embed(leaves["features"], self.kappa)
-                out = core(rows, *edges, self.segments, subs, kernel_rows, pooling, self.kappa)
+                out = core(rows, *edges, subs, kernel_rows, pooling, self.kappa)
                 d = lmath.dist(out, lmath.origin_row(4, self.kappa), self.kappa)
                 return ad.sum(d * d)
 
