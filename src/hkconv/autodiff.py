@@ -75,9 +75,6 @@ class Tensor:
     def ndim(self):
         return self.value.ndim
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.value.shape})"
 
@@ -593,9 +590,6 @@ class ParamStore:
         self._leaves[path] = arr
         self._m[path] = np.zeros_like(arr)
         self._v[path] = np.zeros_like(arr)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._leaves
 
     def __getitem__(self, path: str) -> np.ndarray:
         return self._leaves[path]

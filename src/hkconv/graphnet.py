@@ -532,6 +532,22 @@ def _representatives(labels: np.ndarray, count: int) -> np.ndarray:
     return reps
 
 
+def _pairs(roots: np.ndarray, neighbors: np.ndarray, count: int):
+    """The distinct (root, neighbor) pairs of row ids in [0, count) ->
+    (pair_roots, pair_neighbors, edges), edges[e] being edge e's pair.
+
+    Edges of one pair carry the same rows, so they share one row of the
+    edge node. The node is row-wise, so each edge keeps its own bits,
+    unless the node runs on one row for several edges: a one-row tile
+    rounds differently (layers._tiles), so a lone shared pair runs on two
+    rows. Pairs come in ascending order, so ascending, all-distinct edges
+    keep theirs (edges == arange(E)), as dropout masks drawn per edge need.
+    """
+    pairs, edges = np.unique(roots * count + neighbors, return_inverse=True)
+    rows = max(pairs.size, min(roots.size, 2))
+    return (*np.divmod(np.resize(pairs, rows), count), edges)
+
+
 def _class_layers(features, src, dst, depth: int, distinct: bool):
     """What each conv layer runs on, from the data alone -> (feature_rows,
     layer_edges, labels).
@@ -541,25 +557,27 @@ def _class_layers(features, src, dst, depth: int, distinct: bool):
     function of the parameters (the layer is row-wise and pools its edges
     in neighbor-class order). So layer i works on one row per depth-i
     class: feature_rows picks one node per depth-0 class (its feature
-    bytes), and layer_edges[i] = (roots, neighbors, counts, count) lists
-    the edges of one node per depth-(i+1) class, class after class, each
-    class's edges in ascending order of the neighbor's depth-i class:
-    roots and neighbors hold the depth-i classes of the edges' ends,
-    counts[c] the edges of class c, count the classes. Edges with the
-    same neighbor class carry the same rows, so that order leaves no tie
-    that could change a bit, and class ids depend on feature bytes and
-    structure alone, so no relabeling of the nodes changes it. labels
-    maps every node to its depth-depth class. With distinct every node is
-    its own class in node order, every edge runs in edge_arrays order, as
-    dropout masks need, and labels is None.
+    bytes), and layer_edges[i] = (pair_roots, pair_neighbors, edges,
+    counts, count) runs the edges of one node per depth-(i+1) class,
+    class after class, each class's edges in ascending order of the
+    neighbor's depth-i class, once per distinct pair of the depth-i
+    classes of their ends (_pairs); counts[c] holds the edges of class c
+    and count the classes. Edges with the same neighbor class carry the
+    same rows, so that order leaves no tie that could change a bit, and
+    class ids depend on feature bytes and structure alone, so no
+    relabeling of the nodes changes it. labels maps every node to its
+    depth-depth class. With distinct (dropout) every node starts as its
+    own class in node order, so none splits and every edge is its own
+    pair, in edge_arrays order as the dropout masks are drawn.
     """
     n = features.shape[0]
     degree = np.bincount(dst, minlength=n)
-    if distinct:
-        return np.arange(n), [(dst, src, degree, n)] * depth, None
     first = np.cumsum(degree) - degree
-    # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
-    labels, count = layers._row_classes(features.view(np.uint64))
+    if distinct:
+        labels, count = np.arange(n), n
+    else:
+        # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
+        labels, count = layers._row_classes(features.view(np.uint64))
     feature_rows = _representatives(labels, count)
     layer_edges = []
     for _ in range(depth):
@@ -567,9 +585,10 @@ def _class_layers(features, src, dst, depth: int, distinct: bool):
         reps = _representatives(refined, refined_count)
         sizes = degree[reps]
         ends = np.cumsum(sizes)
-        edges = np.repeat(first[reps] - (ends - sizes), sizes) + np.arange(ends[-1])
+        picked = np.repeat(first[reps] - (ends - sizes), sizes) + np.arange(ends[-1])
         roots = np.repeat(labels[reps], sizes)
-        layer_edges.append((roots, neighbor_labels[edges], sizes, refined_count))
+        pairs = _pairs(roots, neighbor_labels[picked], count)
+        layer_edges.append((*pairs, sizes, refined_count))
         labels, count = refined, refined_count
     return feature_rows, layer_edges, labels
 
@@ -579,11 +598,12 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
 
     leaves defaults to the store's current arrays; during training it is
     the tensor view created by the gradient driver. Dropout masks are
-    drawn only when training with cfg.dropout > 0. Each conv layer runs
-    once per structural node class (_class_layers), and one gather maps
-    the last layer's class rows to the nodes, or to each graph's nodes in
-    ascending class order for the graph pooling; with dropout every node
-    is its own class, in node order.
+    drawn only when training with cfg.dropout > 0, one mask row per pair
+    row; with dropout every node is its own class and every edge its own
+    pair, in edge_arrays order. Each conv layer runs once per pair of
+    structural node classes (_class_layers), and one gather maps the last
+    layer's class rows to the nodes, or to each graph's nodes in
+    ascending class order for the graph pooling.
     """
     cfg = model.cfg
     if batch.feature_dim != model.feature_dim:
@@ -604,7 +624,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
         batch.features, src, dst, cfg.layers, dropout
     )
     x = lmath.embed(batch.features[feature_rows], kappa)
-    for i, (roots, neighbors, counts, count) in enumerate(layer_edges):
+    for i, (roots, neighbors, edges, counts, count) in enumerate(layer_edges):
         drop_masks = None
         if dropout:
             keep = 1.0 - cfg.dropout
@@ -616,6 +636,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             x,
             roots,
             neighbors,
+            edges,
             counts,
             [
                 tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)
@@ -628,12 +649,11 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
         )
     if cfg.task == "graph":
         # each graph's class rows, graph after graph, in ascending class order
-        classes = np.arange(count) if labels is None else labels
-        keys = np.sort(batch.graph_ids * count + classes)
+        keys = np.sort(batch.graph_ids * count + labels)
         rows = ad.take(x, keys % count)
         units = layers.hcent_core(rows, None, np.bincount(batch.graph_ids), kappa)
     else:
-        units = x if labels is None else ad.take(x, labels)
+        units = ad.take(x, labels)
     centroids = lmath.embed(leaves["head.centroids"], kappa)
     return -lmath.cross_dist(units, centroids, kappa)
 

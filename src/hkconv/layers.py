@@ -20,12 +20,8 @@ The building blocks:
   K kernels' adjoints side by side, so the recentred rows' adjoint is one
   full-height matrix product across all kernels, and the weights' and
   gate directions' adjoints one small product per tile and kernel.
-  hkconv_core names each edge's root and neighbor by row id; without
-  dropout masks, edges with the same (root id, neighbor id) pair share
-  one row of that node (on no fewer than min(E, 2) rows), gathered back
-  to the edges. One id is one row, so one function of the parameters,
-  for constant and recorded rows alike; graphnet passes one row per
-  structural node class, so each layer runs once per class pair.
+  hkconv_core runs that node on the (root, neighbor) row pairs its caller
+  lists and gathers the points to the edges.
 
 Each operation has one implementation, a batched core working on
 coordinate rows (plain ndarrays or autodiff tensors), which the graph
@@ -575,6 +571,7 @@ def hkconv_core(
     rows,
     roots: np.ndarray,
     neighbors: np.ndarray,
+    edges: np.ndarray,
     counts,
     sublayers,
     kernel_rows,
@@ -585,52 +582,34 @@ def hkconv_core(
     """Batched kernel-point convolution over flattened neighborhoods.
 
     rows               (N, in_dim+1) rows
-    roots / neighbors  (E,) int row ids; edge e pairs the root
-                       rows[roots[e]] with the neighbor rows[neighbors[e]]
-    counts             edges per output row: the edges come grouped by
-                       segment, segment i being the next counts[i] >= 1
+    roots / neighbors  (P,) int row ids: pair p runs the edge node on the
+                       root rows[roots[p]] and the neighbor
+                       rows[neighbors[p]]
+    edges              (E,) int pair ids: edge e takes the points of pair
+                       edges[e]; the edges come grouped by segment,
+                       segment i being the next counts[i] >= 1
+    counts             edges per output row
     sublayers          per-kernel tuples in PARAM_NAMES order (weight,
                        gate_vec, bias, gate_bias, log_scale)
     kernel_rows        (K, in_dim+1) kernel coordinates
-    drop_masks         optional per-kernel (E, out_dim) dropout masks
+    drop_masks         optional per-kernel (P, out_dim) dropout masks
 
     Returns (len(counts), out_dim+1): one pooled point per segment. The
-    per-edge points come from one _edge_points node; the row gathers, the
-    attention weights and the segment sums of the pooling are nodes of
-    their own. Attention scores each edge by its root-neighbor distance:
-    lmath.dist runs on the rows _edge_points runs on, and its distances
-    are gathered to the edges with the same index as the points.
-
-    Without dropout masks (which differ per edge), edges with the same
-    (root id, neighbor id) pair share one row of _edge_points, gathered
-    back to them. One id is one row, and so one function of the
-    parameters, whether rows is a constant or a tensor. The node is
-    row-wise, so each edge gets the bits it would get on its own,
-    provided it never works on a single row when E >= 2: it runs on
-    min(E, 2) rows or more. Pooling adds each segment's edges in the
-    order given, so the caller fixes the bits by the order of the edges.
+    per-pair points come from one _edge_points node; the row gathers, the
+    gather to the edges, the attention weights and the segment sums of
+    the pooling are nodes of their own. Attention scores each edge by its
+    root-neighbor distance: lmath.dist runs on the pair rows, and its
+    distances are gathered to the edges with the same index as the
+    points. Pooling adds each segment's edges in the order given, so the
+    caller fixes the bits by the order of the edges.
     """
-    pair_roots, pair_neighbors, inverse = roots, neighbors, None
-    if drop_masks is None:
-        n = ad.value_of(rows).shape[0]
-        pairs, inverse = np.unique(roots * n + neighbors, return_inverse=True)
-        if pairs.size == roots.size:
-            inverse = None
-        else:
-            # a lone pair runs on two rows, since a one-row tile would
-            # round differently (see _tiles)
-            pair_roots, pair_neighbors = np.divmod(np.resize(pairs, max(pairs.size, 2)), n)
-    center_rows, neighbor_rows = ad.take(rows, pair_roots), ad.take(rows, pair_neighbors)
-    per_edge = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
+    center_rows, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
+    points = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
     w = None
     if pooling_weights == "attention":
-        d = lmath.dist(center_rows, neighbor_rows, kappa)
-        if inverse is not None:
-            d = ad.take(d, inverse)
+        d = ad.take(lmath.dist(center_rows, neighbor_rows, kappa), edges)
         w = attention_weights(d, ad.value_of(rows).shape[-1] - 1, counts)
-    if inverse is not None:
-        per_edge = ad.take(per_edge, inverse)
-    return hcent_core(per_edge, w, counts, kappa)
+    return hcent_core(ad.take(points, edges), w, counts, kappa)
 
 
 def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.LorentzPoint:
@@ -653,6 +632,7 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
         np.concatenate([x.coords[None, :], coords[_byte_order(coords)]]),
         np.zeros(E, dtype=np.int64),
         np.arange(1, E + 1),
+        np.arange(E),
         [E],
         [s.values() for s in p.sublayers],
         p.kernels.coords_array(),

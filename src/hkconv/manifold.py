@@ -33,27 +33,28 @@ PHI_MIN = 1e-7
 # switches to a series for acosh(psi)/sqrt(psi^2-1), which is 0/0 at 1.
 _LOG_SERIES_H = 1e-6
 
+# Allowed violation of a constraint: |<v,x>_L| for a tangent vector v at
+# x, and |<x,x>_L - 1/kappa| for a point x once scaled by
+# max(1, -kappa x_t^2), since the rounding of <x,x>_L grows like eps x_t^2.
+TOL_MANIFOLD = 1e-9
+
 
 @dataclass(frozen=True)
 class ManifoldConfig:
-    """Curvature, dimension and tolerances of one hyperboloid.
+    """Curvature and dimension of one hyperboloid.
 
     :param dim: spatial dimension n of L^n, at least 1.
     :param curvature: constant negative curvature kappa (default -1).
-    :param tol_manifold: allowed violation of |<x,x>_L - 1/kappa|.
     """
 
     dim: int
     curvature: float = -1.0
-    tol_manifold: float = 1e-9
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
             raise ParameterError(f"dim must be a positive integer, got {self.dim}")
         if not self.curvature < 0:
             raise ParameterError(f"curvature must be negative, got {self.curvature}")
-        if self.tol_manifold <= 0:
-            raise ParameterError("tol_manifold must be positive")
 
     @property
     def radius(self) -> float:
@@ -78,7 +79,8 @@ class LorentzPoint:
         if not coords[0] > 0:
             raise DomainError(f"time component must be positive, got {coords[0]}")
         gap = abs(lorentz_inner(coords, coords) - 1.0 / self.cfg.curvature)
-        if gap > self.cfg.tol_manifold:
+        # written so that a NaN gap fails
+        if not gap <= TOL_MANIFOLD * max(1.0, -self.cfg.curvature * coords[0] ** 2):
             raise DomainError(f"point violates manifold constraint by {gap:.3e}")
 
     @property
@@ -105,7 +107,7 @@ class TangentVector:
             )
         object.__setattr__(self, "vec", vec)
         gap = abs(lorentz_inner(vec, self.base.coords))
-        if gap > self.base.cfg.tol_manifold:
+        if not gap <= TOL_MANIFOLD:
             raise DomainError(f"vector violates tangency by {gap:.3e}")
 
     def norm(self) -> float:
@@ -211,7 +213,7 @@ def exp_map(v: TangentVector) -> LorentzPoint:
     x = v.base
     kappa = x.cfg.curvature
     sq = lorentz_inner(v.vec, v.vec)
-    if sq < -x.cfg.tol_manifold:
+    if sq < -TOL_MANIFOLD:
         raise DomainError(f"tangent vector has negative square norm {sq:.3e}")
     phi = math.sqrt(-kappa) * math.sqrt(max(sq, 0.0))
     if phi == 0.0:

@@ -271,24 +271,34 @@ class TestModelAssembly:
         out = np.asarray(gn.forward_logits(model, permuted))
         np.testing.assert_array_equal(out, base[perm])
 
-    @pytest.mark.parametrize("pooling, ops", (("uniform", 43), ("attention", 56)))
-    def test_gradient_tape_op_budget(self, pooling, ops):
+    @pytest.mark.parametrize(
+        "pooling, ops, dropout",
+        (
+            pytest.param("uniform", 43, 0.0, id="uniform-43"),
+            pytest.param("attention", 56, 0.0, id="attention-56"),
+            pytest.param("uniform", 43, 0.3, id="uniform-dropout-43"),
+        ),
+    )
+    def test_gradient_tape_op_budget(self, pooling, ops, dropout):
         # each Lorentz map and each conv layer's edge points (recentering,
         # kernel aggregation and normalization) is one tape node; each
         # layer's points, computed once per distinct class pair, are
         # gathered back to its edges by one more (and, with attention, the
         # pairs' distances by another), the second layer's class rows are
         # gathered for its pairs, and one more gather maps the last class
-        # rows to the nodes; this count is exact, so a change that
-        # re-inflates the tape shows here
+        # rows to the nodes; with dropout every edge is its own pair and
+        # those gathers are identities, but the tape holds the same nodes;
+        # this count is exact, so a change that re-inflates the tape shows
+        # here
         data = gn.synth_trees_vs_random(n_graphs=20, nodes_per_graph=8, seed=1)
         model = gn.build_hkn(
-            gn.HKNConfig(pooling_weights=pooling),
+            gn.HKNConfig(pooling_weights=pooling, dropout=dropout),
             feature_dim=data.feature_dim,
             num_classes=data.num_classes,
         )
         train_idx = gn.split_indices(data, "train")
-        logits = gn.forward_logits(model, data, model.store.tensors())
+        rng = np.random.default_rng(0)
+        logits = gn.forward_logits(model, data, model.store.tensors(), training=True, rng=rng)
         loss = gn._nll(logits, data.labels[train_idx], train_idx, model.num_classes)
         tape = ad.Tape(loss)
         assert sum(node.op != "leaf" for node in tape._nodes) == ops
@@ -567,6 +577,24 @@ class TestStructuralClasses:
         assert peak <= 2 * 2**20
         assert refined_count == 3
         assert _same_partition(refined, _reference_classes(labels, src, dst))
+
+    def test_dropout_layout_is_edge_arrays_order(self):
+        # dropout masks are drawn per edge in edge_arrays order, so with
+        # distinct every node is its own class and each layer's pairs are
+        # exactly (dst, src), one per edge
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        src, dst = gn.edge_arrays(data)
+        n = data.num_nodes
+        feature_rows, layer_edges, labels = gn._class_layers(data.features, src, dst, 3, True)
+        np.testing.assert_array_equal(feature_rows, np.arange(n))
+        np.testing.assert_array_equal(labels, np.arange(n))
+        assert len(layer_edges) == 3
+        for roots, neighbors, edges, counts, count in layer_edges:
+            np.testing.assert_array_equal(roots, dst)
+            np.testing.assert_array_equal(neighbors, src)
+            np.testing.assert_array_equal(edges, np.arange(len(src)))
+            np.testing.assert_array_equal(counts, np.bincount(dst, minlength=n))
+            assert count == n
 
     def test_all_distinct_features_relabel_bitwise(self):
         # criterion 9's suite with N(0, 0.05^2) feature noise: every node is

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hkconv import autodiff as ad
+from hkconv import graphnet as gn
 from hkconv import kernelgen, layers, lmath, manifold
 from hkconv.errors import DegenerateGeometryError, DimensionError, ParameterError
 
@@ -624,6 +625,7 @@ class TestHKConv:
                 np.stack([x.coords] + [n.coords for n in nbrs[:2]]),
                 np.zeros(2, dtype=np.int64),
                 np.arange(1, 3),
+                np.arange(2),
                 [2],
                 (),
                 p.kernels.coords_array(),
@@ -650,7 +652,7 @@ class TestHKConv:
                     for k in range(3)
                 )
                 out = layers.hkconv_core(
-                    rows, dst, src, [4], subs, kernels, pooling, cfg3.curvature,
+                    rows, dst, src, np.arange(4), [4], subs, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
@@ -671,10 +673,17 @@ def _per_edge_core(rows, roots, neighbors, counts, sublayers, kernel_rows, pooli
     return layers.hcent_core(per_edge, w, counts, kappa)
 
 
+def _pair_core(rows, roots, neighbors, counts, *fixed):
+    # hkconv_core on the distinct row pairs graphnet._pairs lists
+    pairs = gn._pairs(roots, neighbors, len(ad.value_of(rows)))
+    return layers.hkconv_core(rows, *pairs, counts, *fixed)
+
+
 class TestDistinctRowPairs:
-    """hkconv_core runs _edge_points once per distinct (root id, neighbor
-    id) pair and gathers its rows back to the edges; every edge keeps the
-    bits of its own per-edge row, and rows are never merged by value."""
+    """hkconv_core on graphnet._pairs' layout runs _edge_points once per
+    distinct (root id, neighbor id) pair and gathers its rows back to the
+    edges; every edge keeps the bits of its own per-edge row, and rows
+    are never merged by value."""
 
     kappa = -0.7
     nodes = 40
@@ -736,7 +745,7 @@ class TestDistinctRowPairs:
             signs = np.signbit(rows[rows == 0])
             assert signs.any() and not signs.all()
         seen = self._spy_rows(monkeypatch)
-        _assert_same_bits(layers.hkconv_core(rows, *edges, *fixed), want)
+        _assert_same_bits(_pair_core(rows, *edges, *fixed), want)
         # one row per distinct id pair, whatever the rows hold, and never a
         # one-row node for two or more edges
         assert seen == [max(len(pairs), 2)]
@@ -753,8 +762,29 @@ class TestDistinctRowPairs:
         fixed = (sublayers, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         seen = self._spy_rows(monkeypatch)
-        _assert_same_bits(layers.hkconv_core(rows, *edges, *fixed), want)
+        _assert_same_bits(_pair_core(rows, *edges, *fixed), want)
         assert seen == [2]
+
+    @pytest.mark.parametrize("pooling", layers.POOLINGS)
+    def test_a_single_edge_runs_on_one_row(self, rng, monkeypatch, pooling):
+        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
+        rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)
+        edges = (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([1]))
+        fixed = (sublayers, kernel_rows, pooling, self.kappa)
+        want = _per_edge_core(rows, *edges, *fixed)
+        seen = self._spy_rows(monkeypatch)
+        _assert_same_bits(_pair_core(rows, *edges, *fixed), want)
+        assert seen == [1]
+
+    def test_ascending_distinct_edges_keep_their_order(self, rng):
+        # dropout masks are drawn per edge in this order, and each pair row
+        # takes the mask row of its own index
+        keys = np.sort(rng.choice(self.nodes**2, size=50, replace=False))
+        roots, neighbors = np.divmod(keys, self.nodes)
+        pair_roots, pair_neighbors, edges = gn._pairs(roots, neighbors, self.nodes)
+        np.testing.assert_array_equal(pair_roots, roots)
+        np.testing.assert_array_equal(pair_neighbors, neighbors)
+        np.testing.assert_array_equal(edges, np.arange(50))
 
     @pytest.mark.parametrize("pooling", layers.POOLINGS)
     def test_gradients_through_merged_rows(self, rng, pooling):
@@ -783,12 +813,12 @@ class TestDistinctRowPairs:
 
             return run
 
-        report = ad.finite_diff_check(loss(layers.hkconv_core), store)
+        report = ad.finite_diff_check(loss(_pair_core), store)
         assert len(report) == len(store.paths())
         assert max(report.values()) <= 1e-4
         # the per-pair adjoints, summed by the gather, differ from the
         # per-edge ones by rounding only
-        got = ad.grad(loss(layers.hkconv_core), store)
+        got = ad.grad(loss(_pair_core), store)
         want = ad.grad(loss(_per_edge_core), store)
         for path in store.paths():
             scale = np.max(np.abs(want[path]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hkconv import manifold
+from hkconv import lmath, manifold
 from hkconv.errors import DimensionError, DomainError, ParameterError
 
 
@@ -31,8 +31,6 @@ class TestConfigAndPoints:
             manifold.ManifoldConfig(dim=2, curvature=0.0)
         with pytest.raises(ParameterError):
             manifold.ManifoldConfig(dim=2, curvature=1.0)
-        with pytest.raises(ParameterError):
-            manifold.ManifoldConfig(dim=2, tol_manifold=0.0)
 
     def test_point_validation(self, cfg3):
         with pytest.raises(DimensionError):
@@ -43,11 +41,37 @@ class TestConfigAndPoints:
         off = np.array([2.0, 0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             manifold.LorentzPoint(off, cfg3)
+        with pytest.raises(DomainError):
+            manifold.LorentzPoint(np.array([1.0, np.nan, 0.0, 0.0]), cfg3)
+
+    @pytest.mark.parametrize("kappa", (-1.0, -0.3, -4.0))
+    def test_exact_points_validate_up_to_the_embed_radius(self, kappa):
+        # rounding in <x,x>_L grows like eps x_t^2, so the constraint check
+        # scales with x_t^2: exact lifts of spatial parts and embed's own
+        # outputs pass at every radius up to lmath.EMBED_MAX_RADIUS, and a
+        # 1e-6 relative error in x_t still fails
+        rng = np.random.default_rng(17)
+        cfg = manifold.ManifoldConfig(dim=4, curvature=kappa)
+        scale = math.sqrt(-kappa)
+        for radius in (0.5, *range(int(lmath.EMBED_MAX_RADIUS) + 1)):
+            units = rng.standard_normal((1000, 4))
+            units /= np.linalg.norm(units, axis=1, keepdims=True)
+            spatial = units * math.sinh(radius) / scale
+            lifts = np.column_stack([np.sqrt(np.sum(spatial**2, axis=1) - 1.0 / kappa), spatial])
+            embedded = np.asarray(lmath.embed(units * radius / scale, kappa))
+            for coords in np.concatenate([lifts, embedded]):
+                manifold.LorentzPoint(coords, cfg)
+            if radius in (0.5, 5, 11):
+                for coords in lifts[:20]:
+                    with pytest.raises(DomainError):
+                        manifold.LorentzPoint(coords * [1.0 + 1e-6, 1, 1, 1, 1], cfg)
 
     def test_tangent_validation(self, cfg3):
         o = manifold.origin(cfg3)
         with pytest.raises(DomainError):
             manifold.TangentVector(o, np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            manifold.TangentVector(o, np.array([np.nan, 1.0, 0.0, 0.0]))
         v = manifold.TangentVector(o, np.array([0.0, 1.0, 2.0, 3.0]))
         assert v.norm() == pytest.approx(math.sqrt(14.0))
 
