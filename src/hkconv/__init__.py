@@ -9,13 +9,14 @@ Modules:
 * layers: hyperbolic network layers (feature transform, centroid,
   distance readout, kernel-point convolution)
 * graphnet: datasets, model assembly, training and evaluation
+* layout: structural node classes, what each conv layer runs on
 * invariants: randomized property suites
 * cli: command-line entry point (``hkconv``)
 """
 
 __version__ = "0.1.0"
 
-from . import autodiff, errors, graphnet, invariants, kernelgen, layers, lmath, manifold
+from . import autodiff, errors, graphnet, invariants, kernelgen, layers, layout, lmath, manifold
 
 __all__ = [
     "__version__",
@@ -25,6 +26,7 @@ __all__ = [
     "invariants",
     "kernelgen",
     "layers",
+    "layout",
     "lmath",
     "manifold",
 ]

@@ -30,7 +30,7 @@ Design points:
 - ``segment_sum`` takes its rows grouped by segment and adds each run in
   the order given, with one ``reduceat``; it never reorders by value.
   Permutation equivariance stays bitwise because the callers give every
-  run in a structural order that relabelling cannot change: graphnet by
+  run in a structural order that relabelling cannot change: graphnet (layout) by
   structural node class, the typed layers by the bytes of the rows.
 """
 

@@ -11,11 +11,14 @@ negated distances are the class logits.
 
 Every trainable leaf is a Euclidean array (reference points are stored as
 tangent coordinates and lifted in the forward pass), so plain Adam drives
-the whole network. Every sum adds its rows in a structural order: the
-edges of a neighborhood by the structural class of the neighbor, the
-nodes of a graph by their own class (_class_layers). Class ids come from
-the feature bytes and the graph structure alone, never from node ids, so
-node-relabeling equivariance is exact at the bit level.
+the whole network. Each conv layer runs once per structural node class,
+and every sum adds its rows in a structural order: the edges of a
+neighborhood by the structural class of the neighbor, the nodes of a graph
+by their own class. Class ids come from the feature bytes and the graph
+structure alone, never from node ids, so node-relabeling equivariance is
+exact at the bit level. That class layout depends on the data alone
+(layout.prepare); a GraphBatch holds read-only copies of its arrays and
+keeps the layout of each model depth it has served.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import kernelgen, layers, lmath, manifold
+from . import kernelgen, layers, layout, lmath, manifold
 from .errors import (
     BuildError,
     DataFormatError,
@@ -37,6 +41,7 @@ from .errors import (
     NumericError,
     ParameterError,
 )
+from .layout import edge_arrays  # noqa: F401  (graphnet.edge_arrays is public)
 
 TASKS = ("graph", "node")
 KERNEL_SOURCES = ("optimized", "random")
@@ -49,6 +54,48 @@ _DEGREE_CAP = 8
 # datasets
 
 
+def _array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"field {name!r} is not a rectangular array: {exc}") from exc
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    """value as a fresh float64 array of numbers (booleans read as 0/1);
+    strings, nulls and objects raise DataFormatError naming the field."""
+    raw = _array(value, name)
+    if raw.dtype.kind not in "biuf":
+        raise DataFormatError(f"field {name!r} must hold numbers")
+    return raw.astype(np.float64)
+
+
+def _index_array(value, name: str) -> np.ndarray:
+    """value as a fresh int64 array. A cast would truncate a fraction and
+    wrap or overflow an integer beyond int64, so any entry that is not an
+    integer in int64's range raises DataFormatError naming the field."""
+    raw = _array(value, name)
+    if raw.dtype.kind == "f":
+        whole = (raw == np.trunc(raw)) & (np.abs(raw) < 2.0**63)
+        if not whole.all():
+            bad = float(raw[~whole][0])
+            raise DataFormatError(f"field {name!r} holds {bad!r}, not an integer in int64's range")
+    elif raw.dtype.kind == "u":
+        if raw.size and raw.max() > np.iinfo(np.int64).max:
+            raise DataFormatError(f"field {name!r} holds {int(raw.max())}, beyond int64's range")
+    elif raw.dtype.kind != "i":
+        raise DataFormatError(f"field {name!r} must hold integers in int64's range")
+    return raw.astype(np.int64)
+
+
+def _mask_array(value, name: str) -> np.ndarray:
+    """value as a fresh bool array; every entry must be a boolean or 0/1."""
+    raw = _array(value, f"masks.{name}")
+    if raw.dtype.kind != "b" and (raw.dtype.kind not in "iuf" or not np.isin(raw, (0, 1)).all()):
+        raise DataFormatError(f"mask {name!r} must hold booleans or 0/1")
+    return raw.astype(bool)
+
+
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
     """One loaded dataset: features, undirected edges, labels, bookkeeping.
@@ -56,7 +103,9 @@ class GraphBatch:
     edges holds each undirected pair once, with no self-loops (a node is
     never its own neighbor; the model substitutes a self-fallback only for
     nodes with no neighbors at all). graph_ids groups nodes into graphs
-    for graph-level labels; masks carry the node-task split.
+    for graph-level labels; masks carry the node-task split. Every array
+    is a read-only copy of what the caller passed, so the class layouts
+    the batch keeps (class_layout) cannot go stale.
     """
 
     features: np.ndarray
@@ -64,11 +113,12 @@ class GraphBatch:
     labels: np.ndarray
     graph_ids: np.ndarray | None = None
     masks: dict | None = None
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features = _number_array(self.features, "features")
+        edges = _index_array(self.edges, "edges").reshape(-1, 2)
+        labels = _index_array(self.labels, "labels")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", labels)
@@ -89,9 +139,11 @@ class GraphBatch:
             raise DataFormatError(
                 "exactly one of graph_ids (graph task) or masks (node task) must be present"
             )
+        stored = [features, edges, labels]
         if self.graph_ids is not None:
-            gids = np.asarray(self.graph_ids, dtype=np.int64)
+            gids = _index_array(self.graph_ids, "graph_ids")
             object.__setattr__(self, "graph_ids", gids)
+            stored.append(gids)
             if gids.shape != (n,):
                 raise DataFormatError("graph_ids must assign every node")
             g = int(gids.max()) + 1 if gids.size else 0
@@ -100,15 +152,18 @@ class GraphBatch:
             if labels.shape != (g,):
                 raise DataFormatError(f"{g} graphs but {labels.shape[0]} labels")
         else:
+            if not isinstance(self.masks, Mapping):
+                raise DataFormatError("masks must map each split name to a node mask")
             masks = {}
             for name in SPLITS:
                 if name not in self.masks:
                     raise DataFormatError(f"masks missing split {name!r}")
-                m = np.asarray(self.masks[name], dtype=bool)
+                m = _mask_array(self.masks[name], name)
                 if m.shape != (n,):
                     raise DataFormatError(f"mask {name!r} must cover every node")
                 masks[name] = m
             object.__setattr__(self, "masks", masks)
+            stored.extend(masks.values())
             total = masks["train"].astype(int) + masks["val"].astype(int) + masks["test"].astype(int)
             if np.any(total > 1):
                 bad = int(np.nonzero(total > 1)[0][0])
@@ -117,6 +172,16 @@ class GraphBatch:
                 raise DataFormatError("node task needs one label per node")
         if labels.size and labels.min() < 0:
             raise DataFormatError("labels must be nonnegative class indices")
+        for array in stored:
+            array.setflags(write=False)
+
+    def class_layout(self, depth: int, distinct: bool) -> layout.Layout:
+        """layout.prepare(self, depth, distinct), prepared on first use
+        and kept for every later call with the same depth and distinct."""
+        key = (depth, distinct)
+        if key not in self._layouts:
+            self._layouts[key] = layout.prepare(self, depth, distinct)
+        return self._layouts[key]
 
     @property
     def task(self) -> str:
@@ -164,54 +229,36 @@ def split_indices(batch: GraphBatch, split: str) -> np.ndarray:
     return np.nonzero(batch.masks[split])[0]
 
 
-def edge_arrays(batch: GraphBatch):
-    """Directed adjacency (src, dst) with self-entries for isolated nodes,
-    sorted by (dst, src) so each node's neighborhood is one segment."""
-    selfs = np.nonzero(batch.isolated)[0]
-    if batch.edges.size:
-        src = np.concatenate([batch.edges[:, 0], batch.edges[:, 1], selfs])
-        dst = np.concatenate([batch.edges[:, 1], batch.edges[:, 0], selfs])
-    else:
-        src = selfs.copy()
-        dst = selfs.copy()
-    order = np.lexsort((src, dst))
-    return src[order], dst[order]
-
-
-def _field_array(data: dict, key: str, dtype) -> np.ndarray:
-    try:
-        return np.asarray(data[key], dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(
-            f"dataset field {key!r} is not a rectangular array of {np.dtype(dtype).name}: {exc}"
-        ) from exc
-
-
 def load_dataset(path) -> GraphBatch:
+    """The dataset in a JSON file. Fields reach GraphBatch as parsed, so
+    that it rejects a fraction, an out-of-range integer or a string where
+    a cast would truncate, wrap or parse it."""
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"dataset is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataFormatError("dataset must be a JSON object")
     for key in ("num_nodes", "features", "edges", "labels"):
         if key not in data:
             raise DataFormatError(f"dataset missing field {key!r}")
     num_nodes = data["num_nodes"]
     if isinstance(num_nodes, bool) or not isinstance(num_nodes, int):
         raise DataFormatError(f"dataset field 'num_nodes' must be an integer, got {num_nodes!r}")
-    features = _field_array(data, "features", np.float64)
+    features = _array(data["features"], "features")
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise DataFormatError("features shape disagrees with num_nodes")
-    graph_ids = _field_array(data, "graph_ids", np.int64) if "graph_ids" in data else None
+    graph_ids = _array(data["graph_ids"], "graph_ids") if "graph_ids" in data else None
     masks = data.get("masks")
     if graph_ids is not None and masks is not None:
         raise DataFormatError("dataset declares both graph_ids and masks")
-    edges = _field_array(data, "edges", np.int64)
+    edges = _array(data["edges"], "edges")
     if edges.size % 2:
         raise DataFormatError("dataset field 'edges' must hold node pairs")
     return GraphBatch(
         features=features,
         edges=edges.reshape(-1, 2),
-        labels=_field_array(data, "labels", np.int64),
+        labels=data["labels"],
         graph_ids=graph_ids,
         masks=masks,
     )
@@ -490,120 +537,21 @@ def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamS
     return store
 
 
-def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
-    """One step of colour refinement (1-WL) -> (labels, count,
-    neighbor_labels): two nodes share a class when they share a label and
-    the sorted multiset of their neighbors' labels. neighbor_labels lists
-    each node's neighbor labels in ascending order, node after node.
-
-    labels holds ids in [0, count); src/dst are edge_arrays' (sorted by
-    dst, every node one edge or more). When every node is its own class
-    (count == N) no class can split, and the labels are returned as they
-    are. Keys are built per degree, one (nodes x degree+1) block of the
-    narrowest unsigned type at a time, so they take O(N + E) memory
-    however large the largest degree.
-    """
-    n = labels.size
-    # neighbor labels sorted within each neighborhood; dst is sorted already
-    offset = dst * count
-    neighbor_labels = np.sort(offset + labels[src]) - offset
-    if count == n:
-        return labels, count, neighbor_labels
-    degree = np.bincount(dst, minlength=n)
-    first = np.cumsum(degree) - degree
-    dtype = np.min_scalar_type(count - 1)
-    out = np.empty(n, dtype=np.intp)
-    total = 0
-    for d in np.unique(degree):
-        nodes = np.flatnonzero(degree == d)
-        keys = np.empty((nodes.size, d + 1), dtype=dtype)
-        keys[:, 0] = labels[nodes]
-        keys[:, 1:] = neighbor_labels[first[nodes, None] + np.arange(d)]
-        ids, found = layers._row_classes(keys)
-        out[nodes] = total + ids
-        total += found
-    return out, total, neighbor_labels
-
-
-def _representatives(labels: np.ndarray, count: int) -> np.ndarray:
-    """One node per class: reps[c] has label c."""
-    reps = np.empty(count, dtype=np.intp)
-    reps[labels] = np.arange(labels.size)
-    return reps
-
-
-def _pairs(roots: np.ndarray, neighbors: np.ndarray, count: int):
-    """The distinct (root, neighbor) pairs of row ids in [0, count) ->
-    (pair_roots, pair_neighbors, edges), edges[e] being edge e's pair.
-
-    Edges of one pair carry the same rows, so they share one row of the
-    edge node. The node is row-wise, so each edge keeps its own bits,
-    unless the node runs on one row for several edges: a one-row tile
-    rounds differently (layers._tiles), so a lone shared pair runs on two
-    rows. Pairs come in ascending order, so ascending, all-distinct edges
-    keep theirs (edges == arange(E)), as dropout masks drawn per edge need.
-    """
-    pairs, edges = np.unique(roots * count + neighbors, return_inverse=True)
-    rows = max(pairs.size, min(roots.size, 2))
-    return (*np.divmod(np.resize(pairs, rows), count), edges)
-
-
-def _class_layers(features, src, dst, depth: int, distinct: bool):
-    """What each conv layer runs on, from the data alone -> (feature_rows,
-    layer_edges, labels).
-
-    Two nodes with the same feature bytes and the same multiset of
-    neighbor classes get the same output of every layer, as the same
-    function of the parameters (the layer is row-wise and pools its edges
-    in neighbor-class order). So layer i works on one row per depth-i
-    class: feature_rows picks one node per depth-0 class (its feature
-    bytes), and layer_edges[i] = (pair_roots, pair_neighbors, edges,
-    counts, count) runs the edges of one node per depth-(i+1) class,
-    class after class, each class's edges in ascending order of the
-    neighbor's depth-i class, once per distinct pair of the depth-i
-    classes of their ends (_pairs); counts[c] holds the edges of class c
-    and count the classes. Edges with the same neighbor class carry the
-    same rows, so that order leaves no tie that could change a bit, and
-    class ids depend on feature bytes and structure alone, so no
-    relabeling of the nodes changes it. labels maps every node to its
-    depth-depth class. With distinct (dropout) every node starts as its
-    own class in node order, so none splits and every edge is its own
-    pair, in edge_arrays order as the dropout masks are drawn.
-    """
-    n = features.shape[0]
-    degree = np.bincount(dst, minlength=n)
-    first = np.cumsum(degree) - degree
-    if distinct:
-        labels, count = np.arange(n), n
-    else:
-        # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
-        labels, count = layers._row_classes(features.view(np.uint64))
-    feature_rows = _representatives(labels, count)
-    layer_edges = []
-    for _ in range(depth):
-        refined, refined_count, neighbor_labels = _refine(labels, count, src, dst)
-        reps = _representatives(refined, refined_count)
-        sizes = degree[reps]
-        ends = np.cumsum(sizes)
-        picked = np.repeat(first[reps] - (ends - sizes), sizes) + np.arange(ends[-1])
-        roots = np.repeat(labels[reps], sizes)
-        pairs = _pairs(roots, neighbor_labels[picked], count)
-        layer_edges.append((*pairs, sizes, refined_count))
-        labels, count = refined, refined_count
-    return feature_rows, layer_edges, labels
-
-
 def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, rng=None):
     """Logit rows (one per graph for graph tasks, per node otherwise).
+
+    Four steps: validate the batch against the model, take the batch's
+    class layout for the model's depth (GraphBatch.class_layout, prepared
+    once per batch), run each conv layer once per pair of structural node
+    classes, then read out: one gather maps the last layer's class rows to
+    the nodes, or to each graph's nodes in ascending class order for the
+    graph pooling, before the distance head.
 
     leaves defaults to the store's current arrays; during training it is
     the tensor view created by the gradient driver. Dropout masks are
     drawn only when training with cfg.dropout > 0, one mask row per pair
     row; with dropout every node is its own class and every edge its own
-    pair, in edge_arrays order. Each conv layer runs once per pair of
-    structural node classes (_class_layers), and one gather maps the last
-    layer's class rows to the nodes, or to each graph's nodes in
-    ascending class order for the graph pooling.
+    pair, in edge_arrays order.
     """
     cfg = model.cfg
     if batch.feature_dim != model.feature_dim:
@@ -615,21 +563,19 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
     dropout = training and cfg.dropout > 0.0
     if dropout and rng is None:
         raise ParameterError("dropout needs the training rng")
-    leaves = dict(model.store.items()) if leaves is None else leaves
     kappa = cfg.curvature
-    src, dst = edge_arrays(batch)
-    num_edges = src.shape[0]
     lmath.check_embed_range(batch.features, kappa)
-    feature_rows, layer_edges, labels = _class_layers(
-        batch.features, src, dst, cfg.layers, dropout
-    )
-    x = lmath.embed(batch.features[feature_rows], kappa)
-    for i, (roots, neighbors, edges, counts, count) in enumerate(layer_edges):
+
+    plan = batch.class_layout(cfg.layers, dropout)
+
+    leaves = dict(model.store.items()) if leaves is None else leaves
+    x = lmath.embed(plan.features, kappa)
+    for i, (roots, neighbors, edges, counts, _) in enumerate(plan.layer_edges):
         drop_masks = None
         if dropout:
             keep = 1.0 - cfg.dropout
             drop_masks = [
-                (rng.random((num_edges, cfg.hidden_dim)) < keep) / keep
+                (rng.random((plan.num_edges, cfg.hidden_dim)) < keep) / keep
                 for _ in range(cfg.K)
             ]
         x = layers.hkconv_core(
@@ -647,13 +593,11 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
             kappa,
             drop_masks,
         )
+
     if cfg.task == "graph":
-        # each graph's class rows, graph after graph, in ascending class order
-        keys = np.sort(batch.graph_ids * count + labels)
-        rows = ad.take(x, keys % count)
-        units = layers.hcent_core(rows, None, np.bincount(batch.graph_ids), kappa)
+        units = layers.hcent_core(ad.take(x, plan.pooled), None, plan.graph_counts, kappa)
     else:
-        units = ad.take(x, labels)
+        units = ad.take(x, plan.labels)
     centroids = lmath.embed(leaves["head.centroids"], kappa)
     return -lmath.cross_dist(units, centroids, kappa)
 

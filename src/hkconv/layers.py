@@ -32,7 +32,7 @@ add each segment in the order given (autodiff.segment_sum), so the
 caller fixes the summation order. The typed functions give the rows in
 the order of their bytes (_byte_order), which no relabeling of the input
 can change, so their results never depend on how the input happened to
-be labeled; graphnet gives them in structural-class order.
+be labeled; graphnet gives them in structural-class order (layout).
 """
 
 from __future__ import annotations

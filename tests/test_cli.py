@@ -322,6 +322,14 @@ class TestTrainEvalSweep:
             ("num_nodes", "three"),
             ("num_nodes", 3.7),
             ("num_nodes", True),
+            ("labels", [2**70]),
+            ("graph_ids", [0, 0, 2**70]),
+            ("edges", [[0, 1], [1, 2**70]]),
+            ("edges", [[0, 2**63]]),
+            ("edges", [[0.5, 1.7]]),
+            ("labels", [1.5]),
+            ("graph_ids", [0, 0.5, 0]),
+            ("labels", [True]),
         ],
     )
     def test_malformed_dataset_field_is_one_line_failure(self, tmp_path, capsys, field, value):
@@ -342,6 +350,29 @@ class TestTrainEvalSweep:
         assert len(err) == 1
         assert err[0].startswith("failure:")
         assert repr(field) in err[0]
+
+    @pytest.mark.parametrize("split, value", [("val", [0, "x", 0]), ("test", [0, 0, 2])])
+    def test_mask_of_other_than_booleans_or_0_1_is_one_line_failure(
+        self, tmp_path, capsys, split, value
+    ):
+        # truthiness would read "x" and 2 as True and train on the result
+        masks = {"train": [True, False, False], "val": [0, 1, 0], "test": [0, 0, 1]}
+        record = {
+            "num_nodes": 3,
+            "features": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+            "edges": [[0, 1], [1, 2]],
+            "labels": [0, 1, 0],
+            "masks": {**masks, split: value},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        code = main(["train", "--task", "node", "--data", str(path), "--out", str(tmp_path / "t")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("failure:")
+        assert repr(split) in err[0]
 
     @pytest.mark.parametrize(
         "damage, named",

@@ -1,6 +1,8 @@
 """Dataset generation and ingestion, model assembly, metrics, the training
 loop, and checkpoint serialization."""
 
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import pytest
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
 from hkconv import cli, layers, lmath
+from hkconv import layout as lo
 from hkconv.errors import (
     BuildError,
     DataFormatError,
@@ -187,6 +190,60 @@ class TestGraphBatch:
         assert pairs == {(2, 0), (0, 2), (0, 1), (1, 0), (3, 3)}
         assert bool(batch.isolated[3]) is True
         assert not batch.isolated[:3].any()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("edges", [[0.5, 1.7]]),
+            ("edges", [[0, 2**70]]),
+            ("labels", [1.5]),
+            ("labels", [np.inf]),
+            ("labels", np.array([2**63], dtype=np.uint64)),
+            ("graph_ids", [0, 0, 0.5, 0]),
+            ("graph_ids", ["0", "0", "0", "0"]),
+        ],
+    )
+    def test_index_fields_hold_int64_integers(self, field, value):
+        # a cast would truncate 0.5 to 0, wrap 2**63 and overflow on 2**70
+        parts = {"edges": [[0, 1]], "labels": [1], "graph_ids": [0, 0, 0, 0]}
+        with pytest.raises(DataFormatError, match=repr(field)):
+            gn.GraphBatch(np.ones((4, 2)), **{**parts, field: value})
+        # whole floats are integers
+        batch = gn.GraphBatch(np.ones((4, 2)), [[0.0, 1.0]], [1.0], graph_ids=[0.0] * 4)
+        assert batch.edges.dtype == batch.labels.dtype == batch.graph_ids.dtype == np.int64
+
+    @pytest.mark.parametrize("value", (["x", 0, 0], [2, 0, 0], [0.5, 0, 0], [None, 0, 0], "100"))
+    def test_masks_hold_booleans_or_0_1(self, value):
+        masks = {"train": [True, False, False], "val": [0, 1, 0], "test": [0.0, 0.0, 1.0]}
+        batch = gn.GraphBatch(np.ones((3, 2)), [[0, 1]], [0, 1, 0], masks=masks)
+        assert [batch.masks[k].tolist() for k in gn.SPLITS] == [
+            [True, False, False], [False, True, False], [False, False, True]
+        ]
+        with pytest.raises(DataFormatError, match="'train'"):
+            gn.GraphBatch(np.ones((3, 2)), [[0, 1]], [0, 1, 0], masks={**masks, "train": value})
+        with pytest.raises(DataFormatError, match="masks"):
+            gn.GraphBatch(np.ones((3, 2)), [[0, 1]], [0, 1, 0], masks="train val test")
+
+    def test_arrays_are_read_only_copies(self, rng):
+        source = _node_task_batch(rng)
+        parts = {
+            "features": source.features.copy(),
+            "edges": source.edges.copy(),
+            "labels": source.labels.copy(),
+            "masks": {k: v.copy() for k, v in source.masks.items()},
+        }
+        batch = gn.GraphBatch(**parts)
+        graph = _small_batch()
+        for array in (*parts.values(), *parts["masks"].values()):
+            if isinstance(array, np.ndarray):
+                assert array.flags.writeable  # the caller's arrays stay theirs
+        for array in (
+            batch.features, batch.edges, batch.labels, *batch.masks.values(), graph.graph_ids
+        ):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert not np.shares_memory(batch.features, parts["features"])
 
 
 class TestMetrics:
@@ -442,7 +499,7 @@ def _refinements(features, src, dst, depth):
     got = [layers._row_classes(features.view(np.uint64))]
     for _ in range(depth):
         want.append(_reference_classes(want[-1], src, dst))
-        got.append(gn._refine(*got[-1], src, dst)[:2])
+        got.append(lo._refine(*got[-1], src, dst)[:2])
     return [labels for labels, _ in got], want
 
 
@@ -466,6 +523,27 @@ def _class_tree(n, seed, classes=4):
     parts = np.split(rng.permutation(np.arange(1, n)), [int(0.4 * (n - 1)), int(0.6 * (n - 1))])
     masks = {k: np.isin(np.arange(n), p) for k, p in zip(gn.SPLITS, parts)}
     return gn.GraphBatch(np.eye(classes)[shown], np.array(sorted(edges)), labels, masks=masks)
+
+
+def _suite(name):
+    """(data, model config) of a named test suite: criterion 9's, the
+    node-attention class tree, criterion 9's with all-distinct (noisy) or
+    all-equal features, or criterion 9's with a K=3 dropout-0.3 model."""
+    data = gn.synth_trees_vs_random(200, 16, seed=0)
+    cfg = gn.HKNConfig()
+    if name == "class_tree":
+        data = _class_tree(600, seed=3)
+        cfg = gn.HKNConfig(K=8, pooling_weights="attention", task="node")
+    elif name == "distinct":
+        noise = np.random.default_rng(5).normal(0.0, 0.05, data.features.shape)
+        data = gn.GraphBatch(data.features + noise, data.edges, data.labels, graph_ids=data.graph_ids)
+    elif name == "constant":
+        data = gn.GraphBatch(
+            np.full_like(data.features, 0.3), data.edges, data.labels, graph_ids=data.graph_ids
+        )
+    elif name == "dropout":
+        cfg = gn.HKNConfig(K=3, dropout=0.3)
+    return data, cfg
 
 
 def _per_node_logits(model, batch, leaves, training=False, rng=None):
@@ -548,7 +626,7 @@ class TestStructuralClasses:
         features = np.eye(3)[[2 if v in hubs else kinds[v] for v in range(16)]]
         batch = gn.GraphBatch(features, edges, np.zeros(1), graph_ids=np.zeros(16, int))
         classes = layers._row_classes(features.view(np.uint64))
-        labels = gn._refine(*classes, *gn.edge_arrays(batch))[0]
+        labels = lo._refine(*classes, *gn.edge_arrays(batch))[0]
         assert labels[0] == labels[4] and labels[8] == labels[12] and labels[0] != labels[8]
 
     def test_signed_zero_features_are_distinct_classes(self):
@@ -570,7 +648,7 @@ class TestStructuralClasses:
         labels, count = layers._row_classes(batch.features.view(np.uint64))
         tracemalloc.start()
         try:
-            refined, refined_count, _ = gn._refine(labels, count, src, dst)
+            refined, refined_count, _ = lo._refine(labels, count, src, dst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -585,7 +663,7 @@ class TestStructuralClasses:
         data = gn.synth_trees_vs_random(20, 8, seed=1)
         src, dst = gn.edge_arrays(data)
         n = data.num_nodes
-        feature_rows, layer_edges, labels = gn._class_layers(data.features, src, dst, 3, True)
+        feature_rows, layer_edges, labels = lo._class_layers(data.features, src, dst, 3, True)
         np.testing.assert_array_equal(feature_rows, np.arange(n))
         np.testing.assert_array_equal(labels, np.arange(n))
         assert len(layer_edges) == 3
@@ -618,20 +696,7 @@ class TestStructuralClasses:
 
     @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "constant", "dropout"))
     def test_logits_and_gradients_match_the_per_node_forward(self, suite):
-        data = gn.synth_trees_vs_random(200, 16, seed=0)
-        cfg = gn.HKNConfig()
-        if suite == "class_tree":
-            data = _class_tree(600, seed=3)
-            cfg = gn.HKNConfig(K=8, pooling_weights="attention", task="node")
-        elif suite == "distinct":
-            noise = np.random.default_rng(5).normal(0.0, 0.05, data.features.shape)
-            data = gn.GraphBatch(data.features + noise, data.edges, data.labels, graph_ids=data.graph_ids)
-        elif suite == "constant":
-            data = gn.GraphBatch(
-                np.full_like(data.features, 0.3), data.edges, data.labels, graph_ids=data.graph_ids
-            )
-        elif suite == "dropout":
-            cfg = gn.HKNConfig(K=3, dropout=0.3)
+        data, cfg = _suite(suite)
         model = gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
         idx = gn.split_indices(data, "train")
         want = np.asarray(_per_node_logits(model, data, dict(model.store.items())))
@@ -658,6 +723,128 @@ class TestStructuralClasses:
                 # first layer's exact gradient is zero
                 scale = largest
             assert np.max(np.abs(got_grads[path] - g)) <= 1e-12 * scale, path
+
+
+def _bench_checks():
+    """The benchmark's output checks (bench/checks.py), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spy_layout(monkeypatch) -> dict:
+    """Count the calls of layout.edge_arrays and layout._class_layers."""
+    calls = {"edge_arrays": 0, "_class_layers": 0}
+    for name in calls:
+
+        def spy(*args, _inner=getattr(lo, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(lo, name, spy)
+    return calls
+
+
+def _tiny_model(data, **changes):
+    cfg = gn.HKNConfig(K=2, kernel_source="random", task=data.task, **changes)
+    return gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
+
+
+class TestKeptLayout:
+    """A batch prepares its class layout once per (depth, distinct) and
+    keeps it; what it keeps is read-only, so it cannot go stale."""
+
+    def test_prepared_once_per_batch_depth_and_dropout(self, monkeypatch):
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        calls = _spy_layout(monkeypatch)
+        plain = _tiny_model(data)
+        gn.train(plain, data, gn.TrainConfig(max_epochs=4))
+        gn.evaluate(plain, data, "test")
+        assert calls == {"edge_arrays": 1, "_class_layers": 1}
+        # dropout trains on every node its own class and scores on the
+        # classes: its layout joins the plain one on the same batch
+        dropped = _tiny_model(data, dropout=0.3)
+        gn.train(dropped, data, gn.TrainConfig(max_epochs=4))
+        gn.evaluate(dropped, data, "test")
+        assert calls == {"edge_arrays": 2, "_class_layers": 2}
+        assert data.class_layout(2, True) is not data.class_layout(2, False)
+        assert data.class_layout(2, False).num_edges == data.class_layout(2, True).num_edges
+        gn.evaluate(_tiny_model(data, layers=3), data, "test")
+        assert calls == {"edge_arrays": 3, "_class_layers": 3}
+        gn.evaluate(plain, gn.GraphBatch(data.features, data.edges, data.labels, data.graph_ids), "test")
+        assert calls == {"edge_arrays": 4, "_class_layers": 4}
+
+    def test_a_relabelled_batch_gets_its_own_layout(self, monkeypatch):
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        model = _tiny_model(data)
+        logits = np.asarray(gn.forward_logits(model, data))
+        perm = np.random.default_rng(3).permutation(data.num_nodes)
+        moved = _bench_checks().relabel_batch(gn.GraphBatch, data, perm)
+        calls = _spy_layout(monkeypatch)
+        _assert_bits(np.asarray(gn.forward_logits(model, moved)), logits)
+        assert calls == {"edge_arrays": 1, "_class_layers": 1}
+        # class ids come from feature bytes and structure, so each node
+        # keeps its class under its new name
+        plan, moved_plan = data.class_layout(2, False), moved.class_layout(2, False)
+        assert moved_plan is not plan
+        np.testing.assert_array_equal(moved_plan.labels[perm], plan.labels)
+
+    def test_changing_the_source_arrays_leaves_the_logits(self):
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        model = _tiny_model(data)
+        want = np.asarray(gn.forward_logits(model, data))
+        parts = [data.features.copy(), data.edges.copy(), data.labels.copy(), data.graph_ids.copy()]
+        batch = gn.GraphBatch(*parts)
+
+        def scramble():
+            parts[0] *= -2.0
+            parts[1][:] = parts[1][::-1, ::-1]
+            parts[2] ^= 1
+            parts[3][:] = parts[3][::-1]
+
+        scramble()  # before the layout is prepared
+        _assert_bits(np.asarray(gn.forward_logits(model, batch)), want)
+        scramble()  # and after
+        _assert_bits(np.asarray(gn.forward_logits(model, batch)), want)
+
+    def test_batch_and_layout_arrays_are_read_only(self):
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        plan = data.class_layout(2, False)
+        arrays = [data.features, data.edges, data.labels, data.graph_ids]
+        arrays += [plan.features, plan.labels, plan.pooled, plan.graph_counts]
+        arrays += [a for layer in plan.layer_edges for a in layer if isinstance(a, np.ndarray)]
+        assert len(arrays) == 16
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.num_edges = 0
+
+    @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "dropout"))
+    def test_kept_layout_matches_a_fresh_batch_bitwise(self, suite):
+        data, cfg = _suite(suite)
+        model = gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
+        idx = gn.split_indices(data, "train")
+
+        def run(batch):
+            rng = np.random.Generator(np.random.Philox(key=7))
+            logits = np.asarray(gn.forward_logits(model, batch))
+
+            def loss(leaves):
+                out = gn.forward_logits(model, batch, leaves, training=True, rng=rng)
+                return gn._nll(out, batch.labels[idx], idx, model.num_classes)
+
+            return logits, ad.grad(loss, model.store)
+
+        run(data)  # prepares and keeps the layouts
+        kept = run(data)
+        fresh = run(gn.GraphBatch(data.features, data.edges, data.labels, data.graph_ids, data.masks))
+        _assert_bits(kept[0], fresh[0])
+        assert kept[1].keys() == fresh[1].keys()
+        for path, g in fresh[1].items():
+            _assert_bits(kept[1][path], g)
 
 
 class TestTraining:

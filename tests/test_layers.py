@@ -9,6 +9,7 @@ import pytest
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
 from hkconv import kernelgen, layers, lmath, manifold
+from hkconv import layout as lo
 from hkconv.errors import DegenerateGeometryError, DimensionError, ParameterError
 
 
@@ -674,13 +675,13 @@ def _per_edge_core(rows, roots, neighbors, counts, sublayers, kernel_rows, pooli
 
 
 def _pair_core(rows, roots, neighbors, counts, *fixed):
-    # hkconv_core on the distinct row pairs graphnet._pairs lists
-    pairs = gn._pairs(roots, neighbors, len(ad.value_of(rows)))
+    # hkconv_core on the distinct row pairs layout._pairs lists
+    pairs = lo._pairs(roots, neighbors, len(ad.value_of(rows)))
     return layers.hkconv_core(rows, *pairs, counts, *fixed)
 
 
 class TestDistinctRowPairs:
-    """hkconv_core on graphnet._pairs' layout runs _edge_points once per
+    """hkconv_core on layout._pairs' layout runs _edge_points once per
     distinct (root id, neighbor id) pair and gathers its rows back to the
     edges; every edge keeps the bits of its own per-edge row, and rows
     are never merged by value."""
@@ -781,7 +782,7 @@ class TestDistinctRowPairs:
         # takes the mask row of its own index
         keys = np.sort(rng.choice(self.nodes**2, size=50, replace=False))
         roots, neighbors = np.divmod(keys, self.nodes)
-        pair_roots, pair_neighbors, edges = gn._pairs(roots, neighbors, self.nodes)
+        pair_roots, pair_neighbors, edges = lo._pairs(roots, neighbors, self.nodes)
         np.testing.assert_array_equal(pair_roots, roots)
         np.testing.assert_array_equal(pair_neighbors, neighbors)
         np.testing.assert_array_equal(edges, np.arange(50))
