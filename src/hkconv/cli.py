@@ -18,8 +18,9 @@ manifest.json. kernel-gen, appendix-a, train and sweep write a manifest
 with the seed, every config key the run read, the kernel-file hash and the
 code version, and under "machine" what else the bits depend on (NumPy
 version, CPU architecture and count, BLAS thread settings), enough to
-reproduce the run bit for bit. It holds no time, so reruns match byte
-for byte.
+reproduce the run bit for bit, and the allocator settings main applied
+(see _keep_freed_pages), which explain the run's speed. It holds no time,
+so reruns match byte for byte.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ _SECTIONS = {
 }
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# glibc mallopt parameters (malloc.h): name, parameter number, value
+_MALLOC_SETTINGS = (("mmap_threshold", -3, 32 << 20), ("top_pad", -2, 16 << 20))
 
 
 class UsageError(Exception):
@@ -128,24 +132,54 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _machine() -> dict:
+def _keep_freed_pages() -> dict | None:
+    """Sets glibc's malloc to keep the pages a gradient pass frees mapped
+    for the next pass, and returns the settings applied (None off glibc).
+
+    A pass allocates a few MB of temporaries in its backward and frees
+    them; by default glibc serves the large ones from mmap and trims the
+    top of the heap, so every pass faults the same pages back in. A 32 MiB
+    mmap threshold keeps them on the heap and a 16 MiB top pad keeps the
+    freed top mapped. This changes the allocator of the whole process,
+    so only main, which owns its process, calls it; never at import.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+    if not libc or not libc.startswith("glibc "):
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    applied = {}
+    for name, param, value in _MALLOC_SETTINGS:
+        if mallopt(param, value):  # mallopt returns 1 on success
+            applied[name] = value
+    return applied
+
+
+def _machine(allocator) -> dict:
     affinity = getattr(os, "sched_getaffinity", None)
     return {
         "numpy": np.__version__,
         "platform": platform.machine(),
         "cpus": len(affinity(0)) if affinity else os.cpu_count(),
         **{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        "allocator": allocator,
     }
 
 
-def _write_manifest(out: Path, subcommand: str, resolved: dict, seed, kernel_hash=None, extra=None):
+def _write_manifest(args, out: Path, resolved: dict, seed, kernel_hash=None, extra=None):
     manifest = {
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "seed": seed,
         "config": {k: resolved[k] for k in sorted(resolved)},
         "kernel_hash": kernel_hash,
-        "machine": _machine(),
+        "machine": _machine(args.allocator),
     }
     if extra:
         manifest.update(extra)
@@ -200,8 +234,8 @@ def cmd_kernel_gen(args) -> int:
             kernels, out / "kernels_poincare.csv", out / "kernel_geodesics_poincare.csv"
         )
     _write_manifest(
+        args,
         out,
-        "kernel-gen",
         resolved,
         solver.seed,
         kernel_hash=_sha256(out / "kernels.json"),
@@ -254,7 +288,7 @@ def cmd_appendix_a(args) -> int:
         for radius, norm in rows:
             fh.write(f"{radius!r},{norm!r}\n")
     _write_json(out / "report.json", {"slope": slope, "r_squared": r2, "rows": rows})
-    _write_manifest(out, "appendix-a", {}, None, extra={"K": args.K, "radii": list(radii)})
+    _write_manifest(args, out, {}, None, extra={"K": args.K, "radii": list(radii)})
     print(f"appendix-a: slope={slope:.4f} r_squared={r2:.4f} over {len(rows)} radii")
     return 0
 
@@ -307,7 +341,7 @@ def cmd_train(args) -> int:
     }
     graphnet.save_checkpoint(model, out / "checkpoint.json", info)
     _write_manifest(
-        out, "train", resolved, model_cfg.seed, kernel_hash=_sha256(out / "kernels.json")
+        args, out, resolved, model_cfg.seed, kernel_hash=_sha256(out / "kernels.json")
     )
     print(
         f"train: best_epoch={model.best_epoch} test_accuracy={metrics.accuracy:.4f} "
@@ -365,7 +399,7 @@ def cmd_sweep(args) -> int:
     )
     graphnet.write_sweep_csv(rows, out / "sweep.csv")
     _write_manifest(
-        out, "sweep", resolved, model_cfg.seed, extra={"K_list": list(K_list), "seeds": args.seeds}
+        args, out, resolved, model_cfg.seed, extra={"K_list": list(K_list), "seeds": args.seeds}
     )
     print("K mean std")
     for K, mean, std in table:
@@ -470,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.allocator = _keep_freed_pages()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -172,6 +172,14 @@ class GraphBatch:
                 raise DataFormatError("node task needs one label per node")
         if labels.size and labels.min() < 0:
             raise DataFormatError("labels must be nonnegative class indices")
+        # one head row per class up to the largest label: a class index
+        # needs a labelled unit to name it
+        if labels.size and labels.max() >= labels.shape[0]:
+            units = "graphs" if self.graph_ids is not None else "nodes"
+            raise DataFormatError(
+                f"field 'labels' holds {int(labels.max())}, not below the "
+                f"{labels.shape[0]} labelled {units}"
+            )
         for array in stored:
             array.setflags(write=False)
 
@@ -537,6 +545,16 @@ def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamS
     return store
 
 
+def _drop_mask(draw: np.ndarray, keep: float) -> np.ndarray:
+    """Inverted-dropout mask from uniform draws: an entry is kept (1/keep)
+    where its draw is below keep. A row that would drop every entry keeps
+    them all instead, since a zero vector has no direction for the gated
+    transform to normalize; other rows are untouched."""
+    mask = (draw < keep) / keep
+    mask[~mask.any(axis=1)] = 1.0 / keep
+    return mask
+
+
 def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, rng=None):
     """Logit rows (one per graph for graph tasks, per node otherwise).
 
@@ -575,7 +593,7 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
         if dropout:
             keep = 1.0 - cfg.dropout
             drop_masks = [
-                (rng.random((plan.num_edges, cfg.hidden_dim)) < keep) / keep
+                _drop_mask(rng.random((plan.num_edges, cfg.hidden_dim)), keep)
                 for _ in range(cfg.K)
             ]
         x = layers.hkconv_core(

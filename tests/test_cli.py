@@ -1,16 +1,21 @@
 """Command-line surface: artifacts with fixed names, manifest contents,
 exit-code contract, config layering, and byte-identical reruns."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hkconv
 from hkconv import __version__, graphnet, kernelgen, manifold
 from hkconv.cli import main
 
@@ -19,6 +24,10 @@ _SMALL_TRAIN = [
     "--nodes-per-graph", "12",
     "--max-epochs", "30",
 ]
+
+
+_GLIBC = platform.libc_ver()[0] == "glibc"
+_ALLOCATOR = {"mmap_threshold": 33554432, "top_pad": 16777216}
 
 
 def _sha(path):
@@ -93,6 +102,7 @@ class TestKernelGenCommand:
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": None,
             "MKL_NUM_THREADS": None,
+            "allocator": _ALLOCATOR if _GLIBC else None,
         }
         assert isinstance(machine["cpus"], int) and 1 <= machine["cpus"] <= os.cpu_count()
 
@@ -330,6 +340,7 @@ class TestTrainEvalSweep:
             ("labels", [1.5]),
             ("graph_ids", [0, 0.5, 0]),
             ("labels", [True]),
+            ("labels", [10000000000000]),
         ],
     )
     def test_malformed_dataset_field_is_one_line_failure(self, tmp_path, capsys, field, value):
@@ -671,3 +682,65 @@ class TestConfigKeys:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("failure: malformed kernel record")
+
+
+# a fresh interpreter applies the CLI's allocator setting, then counts the
+# minor page faults of gradient passes on criterion 9's suite
+_FAULTS_PER_PASS = """
+import resource
+
+from hkconv import autodiff as ad, cli, graphnet as gn
+
+assert cli._keep_freed_pages() == {allocator!r}
+data = gn.synth_trees_vs_random(200, 16, seed=0)
+model = gn.build_hkn(gn.HKNConfig(), feature_dim=data.feature_dim, num_classes=data.num_classes)
+idx = gn.split_indices(data, "train")
+
+
+def loss(leaves):
+    logits = gn.forward_logits(model, data, leaves, training=True)
+    return gn._nll(logits, data.labels[idx], idx, model.num_classes)
+
+
+for _ in range(5):
+    ad.grad(loss, model.store)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    ad.grad(loss, model.store)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+class TestAllocatorSetting:
+    """On glibc, main keeps the pages a gradient pass frees mapped for the
+    next pass; elsewhere it leaves the allocator alone."""
+
+    @pytest.mark.skipif(not _GLIBC, reason="the setting applies on glibc only")
+    def test_gradient_passes_do_not_fault_their_heap_back_in(self):
+        src = Path(hkconv.__file__).resolve().parents[1]
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_PASS.format(allocator=_ALLOCATOR)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 100  # about 1,290 without the setting
+
+    def test_no_glibc_means_no_mallopt(self, tmp_path, monkeypatch):
+        def no_confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        def no_cdll(*args, **kwargs):
+            raise AssertionError("the allocator was touched")
+
+        monkeypatch.setattr(os, "confstr", no_confstr)
+        monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+        out = tmp_path / "run"
+        assert main(["kernel-gen", "--K", "2", "--dim", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["machine"]["allocator"] is None

@@ -117,6 +117,20 @@ def test_index_fields_out_of_int64_or_fractional(data):
 
 
 @_FUZZ
+@given(st.sampled_from((_GRAPH_RECORD, _NODE_RECORD)), st.data())
+def test_labels_at_or_above_the_labelled_units(base, data):
+    # the model holds one class row per index up to the largest label
+    record = json.loads(json.dumps(base))
+    units = len(record["labels"])
+    at = data.draw(st.integers(0, units - 1))
+    record["labels"][at] = data.draw(st.integers(units, 2**63 - 1))
+    task = "graph" if "graph_ids" in record else "node"
+    code, lines = _train(json.dumps(record).encode(), task)
+    _assert_one_line_failure(code, lines, "labels")
+    assert f"below the {units} labelled" in lines[0], lines
+
+
+@_FUZZ
 @given(st.sampled_from(("train", "val", "test")), st.integers(0, 3), _NOT_A_MASK_ENTRY)
 def test_mask_entries_other_than_booleans_or_0_1(split, node, bad):
     record = json.loads(json.dumps(_NODE_RECORD))

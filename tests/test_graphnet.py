@@ -209,8 +209,29 @@ class TestGraphBatch:
         with pytest.raises(DataFormatError, match=repr(field)):
             gn.GraphBatch(np.ones((4, 2)), **{**parts, field: value})
         # whole floats are integers
-        batch = gn.GraphBatch(np.ones((4, 2)), [[0.0, 1.0]], [1.0], graph_ids=[0.0] * 4)
+        batch = gn.GraphBatch(
+            np.ones((4, 2)), [[0.0, 1.0]], [1.0, 0.0], graph_ids=[0.0, 0.0, 1.0, 1.0]
+        )
         assert batch.edges.dtype == batch.labels.dtype == batch.graph_ids.dtype == np.int64
+
+    def test_labels_lie_below_the_labelled_units(self, rng):
+        # the head holds one row per class up to the largest label, so a
+        # label of 10**7 on 20 graphs would allocate 10**7 rows
+        graphs = gn.synth_trees_vs_random(20, 8, seed=1)
+        labels = graphs.labels.copy()
+        labels[3] = 10**7
+        bound = "'labels' holds 10000000, not below the 20 labelled graphs"
+        with pytest.raises(DataFormatError, match=bound):
+            gn.GraphBatch(graphs.features, graphs.edges, labels, graph_ids=graphs.graph_ids)
+        labels[3] = 19
+        assert gn.GraphBatch(
+            graphs.features, graphs.edges, labels, graph_ids=graphs.graph_ids
+        ).num_classes == 20
+        nodes = _node_task_batch(rng)
+        labels = nodes.labels.copy()
+        labels[0] = nodes.num_nodes
+        with pytest.raises(DataFormatError, match="not below the 10 labelled nodes"):
+            gn.GraphBatch(nodes.features, nodes.edges, labels, masks=nodes.masks)
 
     @pytest.mark.parametrize("value", (["x", 0, 0], [2, 0, 0], [0.5, 0, 0], [None, 0, 0], "100"))
     def test_masks_hold_booleans_or_0_1(self, value):
@@ -303,7 +324,7 @@ class TestModelAssembly:
         triangle = gn.GraphBatch(
             feats,
             np.array([[0, 1], [1, 2], [0, 2]]),
-            np.array([1]),
+            np.array([0]),
             graph_ids=np.zeros(3, dtype=int),
         )
         model = gn.build_hkn(gn.HKNConfig(), feature_dim=2, num_classes=2)
@@ -528,7 +549,9 @@ def _class_tree(n, seed, classes=4):
 def _suite(name):
     """(data, model config) of a named test suite: criterion 9's, the
     node-attention class tree, criterion 9's with all-distinct (noisy) or
-    all-equal features, or criterion 9's with a K=3 dropout-0.3 model."""
+    all-equal features, or criterion 9's with a K=3 dropout-0.3 model or a
+    K=2 dropout-0.8 one on 4 hidden dimensions, whose masks drop about 41%
+    of their rows whole."""
     data = gn.synth_trees_vs_random(200, 16, seed=0)
     cfg = gn.HKNConfig()
     if name == "class_tree":
@@ -543,6 +566,8 @@ def _suite(name):
         )
     elif name == "dropout":
         cfg = gn.HKNConfig(K=3, dropout=0.3)
+    elif name == "whole-row-dropout":
+        cfg = gn.HKNConfig(K=2, hidden_dim=4, dropout=0.8)
     return data, cfg
 
 
@@ -567,6 +592,8 @@ def _per_node_logits(model, batch, leaves, training=False, rng=None):
         if training and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             masks = [(rng.random((len(src), cfg.hidden_dim)) < keep) / keep for _ in range(cfg.K)]
+            for m in masks:  # a row that drops every entry keeps them all
+                m[np.all(m == 0.0, axis=1)] = 1.0 / keep
         order = np.lexsort((classes[i][src], dst))
         if masks is not None:
             masks = [m[order] for m in masks]
@@ -694,7 +721,9 @@ class TestStructuralClasses:
             np.asarray(gn.forward_logits(model, moved)), np.asarray(gn.forward_logits(model, data))
         )
 
-    @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "constant", "dropout"))
+    @pytest.mark.parametrize(
+        "suite", ("criterion9", "class_tree", "distinct", "constant", "dropout", "whole-row-dropout")
+    )
     def test_logits_and_gradients_match_the_per_node_forward(self, suite):
         data, cfg = _suite(suite)
         model = gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
@@ -892,6 +921,19 @@ class TestTraining:
         report = ad.finite_diff_check(loss, model.store)
         assert len(report) == len(model.store.paths())
         assert max(report.values()) <= 1e-4
+
+    def test_dropout_keeps_a_row_it_would_drop_whole(self):
+        # at hidden_dim 8 and dropout 0.3 a mask row drops all eight
+        # entries with probability 0.3**8; this run draws such a row, and
+        # a zero row has no direction for the gated transform to normalize
+        data = gn.synth_trees_vs_random(20, 8, seed=1)
+        model = gn.build_hkn(
+            gn.HKNConfig(K=2, hidden_dim=8, kernel_source="random", dropout=0.3),
+            feature_dim=data.feature_dim,
+            num_classes=data.num_classes,
+        )
+        metrics = gn.train(model, data, gn.TrainConfig(max_epochs=4))
+        assert all(np.isfinite(row[2]) for row in metrics.history)
 
     def test_nan_parameter_aborts_with_numeric_error(self):
         batch = _small_batch()
@@ -1104,7 +1146,7 @@ class TestDatasetIO:
             "features": [[1.0], [1.0], [1.0]],
             "edges": [[0, 1], [1, 2], [0, 2]],
             "graph_ids": [0, 0, 0],
-            "labels": [1],
+            "labels": [0],
         }
         path = tmp_path / "triangle.json"
         path.write_text(json.dumps(doc))
