@@ -659,7 +659,13 @@ def _split_metrics(logits: np.ndarray, batch: GraphBatch, split: str):
 
 
 def evaluate(model: HKN, data: GraphBatch, split: str) -> Metrics:
-    """Accuracy, macro-F1 and mean cross-entropy on one split; read-only."""
+    """Accuracy, macro-F1 and mean cross-entropy on one split; read-only.
+    A label the model has no class for raises DataFormatError."""
+    if data.labels.size and data.labels.max() >= model.num_classes:
+        raise DataFormatError(
+            f"field 'labels' holds {int(data.labels.max())}, not below the "
+            f"model's {model.num_classes} classes"
+        )
     logits = np.asarray(forward_logits(model, data))
     acc, f1, loss = _split_metrics(logits, data, split)
     return Metrics(accuracy=acc, macro_f1=f1, loss=loss)

@@ -14,12 +14,14 @@ The building blocks:
   neighborhood either uniformly or with distance-based attention. The
   recentering, the K transforms, the K kernel distances, their weighted
   sum and its normalization are one tape node per layer (_edge_points).
-  It works on tiles of at most TILE_ROWS edges and keeps, for the
-  backward, only the kernels' pre-normalization vectors and per-row
-  scalars; the backward recomputes the rest tile by tile and stacks the
-  K kernels' adjoints side by side, so the recentred rows' adjoint is one
-  full-height matrix product across all kernels, and the weights' and
-  gate directions' adjoints one small product per tile and kernel.
+  It works on tiles of at most TILE_ROWS edges and stacks a tile's K
+  kernels into one (rows, K, out_dim) array: one matrix product gives
+  every kernel's affine map, gate logit and kernel inner product, and one
+  contraction their weighted sum. It keeps, for the backward, only the
+  stacked pre-normalization vectors and per-row scalars; the backward
+  recomputes the rest tile by tile into a tile-sized adjoint block, which
+  gives the recentred rows' adjoint in one product per tile, and the
+  weights' and biases' adjoints in one small product per tile and kernel.
   hkconv_core runs that node on the (root, neighbor) row pairs its caller
   lists and gathers the points to the edges.
 
@@ -37,6 +39,7 @@ be labeled; graphnet gives them in structural-class order (layout).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -55,9 +58,18 @@ POOLINGS = ("uniform", "attention")
 # norm of the pre-normalization vector below which the gated map is undefined
 _DEGENERATE_NORM = 1e-12
 
-# most edge rows _edge_points works on at once; a tile's (rows x 17)
-# float64 temporaries are then about 140 KB each
+# most edge rows _edge_points works on at once; at hidden width 16 a tile's
+# (rows x 17) float64 temporaries are then about 140 KB each, and its
+# stacked (rows x K * 18) product about 1.2 MB at K = 8, which the node
+# allocates once and reuses across its tiles
 TILE_ROWS = 1024
+
+# OpenBLAS computes a product's output columns in full vector lanes, by the
+# same steps whatever the number of rows, when there are a multiple of 8 of
+# them; a narrower remainder takes kernels whose rounding moves with the row
+# count. _edge_points widens its tile products with zero columns to that
+# multiple, so a row's bits do not depend on the tile it shares.
+_LANES = 8
 
 
 def _as_column(w):
@@ -156,16 +168,15 @@ def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_
     return spatial, (u, norm, gate, sig, lmath._time(spatial, kappa))
 
 
-def _gated_backward(g, u, norm, gate, sig, time, drop_mask, g_u=None):
+def _gated_backward(g, u, norm, gate, sig, time, drop_mask):
     """Row adjoints (g_u, g_logit, g_gate) of the gated transform for the
-    adjoint g of its output: g_u of the affine map x @ weight.T + bias
-    (written into the g_u buffer when one is given), g_logit of the gate
-    logit and g_gate of the gate."""
+    adjoint g of its output: g_u of the affine map x @ weight.T + bias,
+    g_logit of the gate logit and g_gate of the gate."""
     g_time, g_spatial = g[..., :1], g[..., 1:]
     # spatial = gate * u / |u| has norm gate, so the time coordinate
     # depends on the gate alone and u receives only the spatial adjoint
     along = ad._rowdot(g_spatial, u)[..., None]
-    g_u = np.multiply(gate / norm, g_spatial - along / (norm * norm) * u, out=g_u)
+    g_u = gate / norm * (g_spatial - along / (norm * norm) * u)
     if drop_mask is not None:
         g_u *= drop_mask
     g_gate = along / norm + g_time * (gate / time)
@@ -402,6 +413,18 @@ def _tiles(n: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _with_ones(rows: int, width: int) -> np.ndarray:
+    """A (rows, width + 1) buffer whose last column is ones."""
+    out = np.empty((rows, width + 1))
+    out[:, width] = 1.0
+    return out
+
+
+def _lanes(columns: int) -> int:
+    """columns rounded up to a multiple of _LANES."""
+    return -(-columns // _LANES) * _LANES
+
+
 def _edge_points(
     center_rows,
     neighbor_rows,
@@ -418,130 +441,157 @@ def _edge_points(
     coordinates. Each neighbor is recentered at its root by the boost that
     carries the root to the origin (lmath._boost, the map of lmath.ominus)
     and compared against the kernels where they live, around the origin.
-    The K gated transforms, weighted by kernel distance, are summed in
-    kernel order and the sum is normalized onto the manifold
-    (lmath._normalized). The forward walks tiles of at most TILE_ROWS
-    rows and evaluates the expressions of lmath.ominus, hlinear_core,
-    lmath.dist and lmath.normalize_timelike on each, so its values are
-    those of that chain bit for bit.
+    The K gated transforms, weighted by kernel distance, are summed and the
+    sum is normalized onto the manifold (lmath._normalized).
 
-    A recorded node keeps the inputs, the output and per-tile rows of
-    each kernel's pre-normalization vectors u, plus per-row scalars; the
-    recentred rows, the kernels' transformed rows and their sum are
-    recomputed by the backward. The backward writes each kernel's
-    affine-map, gate-logit, acosh and gate-scale adjoints, tile by tile,
-    into column blocks of one (E, K * (out_dim+3)) buffer. One full-height
-    product over that buffer then gives the adjoint of the recentred
-    rows, one product per tile and kernel, summed over the tiles, the
-    adjoints of the weights and gate directions, and column sums those
-    of the biases and gate biases. The recentred rows' adjoint, and
-    the kernel terms only it needs, are computed, and the per-row scalars
-    they read kept, only when the root or neighbor rows are recorded (not
-    in the first conv layer).
+    The forward walks tiles of at most TILE_ROWS rows and holds a tile's K
+    kernels as one stacked (rows, K, out_dim) array. One product of the
+    recentred rows, with a ones column appended, gives all K affine maps,
+    the K gate logits and the K kernel inner products, biases included. A
+    transform's spatial part has norm gate, so its time coordinate is
+    sqrt(gate^2 - 1/kappa), and the spatial sum is one contraction of the
+    stacked maps with the scales nu * gate / |u|. The values are those of
+    the chain lmath.ominus, hlinear_core, lmath.dist and
+    lmath.normalize_timelike up to the rounding of the re-associated sums;
+    a row's bits depend on that row alone, not on the tile it shares.
+
+    A recorded node keeps the inputs, the output and, per tile, the
+    stacked pre-normalization vectors u and per-row scalars. The backward
+    works tile by tile: it recomputes the tile's recentred rows from the
+    boost's kept coefficients and writes the K kernels' affine-map,
+    gate-logit and acosh adjoints side by side into one (rows,
+    K * (out_dim+2)) block. One product of the block gives the recentred
+    rows' adjoint, which the boost's adjoint carries to the root and
+    neighbor rows, and one product per kernel with the recentred rows the
+    adjoints of the weights and biases (the ones column gives the biases),
+    summed over the tiles. The recentred rows' adjoint, and the kernel
+    terms only it needs, are computed, and the per-row scalars they read
+    kept, only when the root or neighbor rows are recorded (not in the
+    first conv layer).
     """
     kernel_rows = ad.value_of(kernel_rows)
     K = kernel_rows.shape[0]
     if len(sublayers) != K:
         raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
     n = len(PARAM_NAMES)
-    masks = [None] * K if drop_masks is None else drop_masks
+    mask = None if drop_masks is None else np.stack(drop_masks, axis=1)
     inputs = (neighbor_rows, center_rows) + tuple(p for params in sublayers for p in params)
     recording = any(isinstance(v, ad.Tensor) for v in inputs)
     # the boost's a and shift and the kernels' acosh arguments z feed only
     # the recentred rows' adjoint
     need_rows = isinstance(neighbor_rows, ad.Tensor) or isinstance(center_rows, ad.Tensor)
+    metric = lmath.metric_row(kernel_rows.shape[1] - 1)
 
     def forward(nbr, ctr, *values):
-        points = np.empty((len(nbr), values[0].shape[0] + 1))
-        tiles = []
-        for rows in _tiles(len(nbr)):
-            feats, boost = lmath._boost(nbr[rows], ctr[rows], kappa)
-            kept = []
-            for k in range(K):
-                mask = None if masks[k] is None else masks[k][rows]
-                spatial, gated = _gated_forward(feats, *values[n * k : n * (k + 1)], kappa, mask)
-                nu, z = lmath._dist(feats, kernel_rows[k], kappa)
-                # the weighted rows nu * (time, spatial), added in kernel order
-                nu_col = nu[:, None]
-                if k == 0:
-                    time_sum, spatial_sum = nu_col * gated[-1], nu_col * spatial
-                else:
-                    time_sum += nu_col * gated[-1]
-                    spatial_sum += nu_col * spatial
-                kept.append((gated, nu, z if need_rows else None))
-            aggregate = np.concatenate([time_sum, spatial_sum], axis=-1)
+        weights, gate_vecs, biases, gate_biases, log_scales = (values[j::n] for j in range(n))
+        D, W = weights[0].shape
+        KD = K * D
+        # the product's columns: K affine maps, K gate logits, K kernel
+        # inner products; its last row meets the ones column
+        maps = np.zeros((W + 1, _lanes(K * (D + 2))))
+        maps[:W, :KD] = np.concatenate(weights).T
+        maps[W, :KD] = np.concatenate(biases)
+        maps[:W, KD : KD + K] = np.stack(gate_vecs, axis=1)
+        maps[W, KD : KD + K] = gate_biases
+        maps[:W, KD + K : KD + 2 * K] = (kernel_rows * metric).T
+        amplitude = np.exp(np.asarray(log_scales, dtype=np.float64))
+        tiles = _tiles(len(nbr))
+        longest = -(-len(nbr) // len(tiles))
+        lifted = _with_ones(longest, W)
+        # one product buffer per node: a recorded node keeps every tile's
+        # rows for its backward, a no-tape forward reuses one tile's
+        products = np.empty((len(nbr) if recording else longest, maps.shape[1]))
+        points = np.empty((len(nbr), D + 1))
+        kept = []
+        for rows in tiles:
+            feats, (a, shift, c) = lmath._boost(nbr[rows], ctr[rows], kappa)
+            x = lifted[: len(feats)]
+            x[:, :W] = feats
+            product = np.matmul(x, maps, out=products[rows] if recording else products[: len(x)])
+            u = product[:, :KD].reshape(-1, K, D)
+            if mask is not None:
+                u *= mask[rows]
+            norm_sq = np.einsum("ekd,ekd->ek", u, u)
+            worst = np.argmin(norm_sq)
+            if norm_sq.flat[worst] < _DEGENERATE_NORM**2:
+                raise DegenerateGeometryError(
+                    f"gated linear transform of kernel {worst % K}: "
+                    "pre-normalization vector has vanishing norm"
+                )
+            sig = 1.0 / (1.0 + np.exp(-product[:, KD : KD + K]))
+            gate = amplitude * sig
+            z = np.maximum(kappa * product[:, KD + K : KD + 2 * K], 1.0)
+            nu = np.arccosh(z) / math.sqrt(-kappa)
+            norm = np.sqrt(norm_sq)
+            aggregate = np.empty((len(feats), D + 1))
+            np.einsum("ek,ek->e", nu, np.sqrt(gate * gate - 1.0 / kappa), out=aggregate[:, 0])
+            np.einsum("ek,ekd->ed", nu * gate / norm, u, out=aggregate[:, 1:])
             normed, normal = lmath._normalized(aggregate, kappa)
             points[rows] = normed
             if recording:
-                a, shift, c = boost
-                tiles.append((rows, c, (a, shift) if need_rows else None, kept, normal))
-        return points, (nbr, ctr, values, points, tiles)
-
-    def adjoint_block(g, points, tiles):
-        """Row adjoints in column blocks of one (E, K * (out_dim+3)) array:
-        each kernel's g_u (out_dim columns), then one column per kernel of
-        gate-logit, acosh and gate-scale adjoints (acosh only for
-        need_rows)."""
-        E, D = g.shape[0], g.shape[1] - 1
-        block = np.empty((E, K * (D + 3)))
-        g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
-        if need_rows:
-            lifted = np.empty((max(rows.stop - rows.start for rows, *_ in tiles), D + 1))
-        for rows, _, _, kept, normal in tiles:
-            g_sum = lmath._normalized_backward(g[rows], points[rows], *normal, kappa)
-            for k, (gated, nu, z) in enumerate(kept):
-                u, norm, gate, _, time = gated
-                mask = None if masks[k] is None else masks[k][rows]
-                g_logit, g_gate = _gated_backward(
-                    g_sum * nu[:, None], *gated, mask, block[rows, k * D : (k + 1) * D]
-                )[1:]
-                g_logits[rows, k] = g_logit[:, 0]
-                g_scales[rows, k] = (g_gate * gate)[:, 0]
-                if need_rows:
-                    # the kernel's transformed rows, rebuilt as the forward made them
-                    out = lifted[: len(u)]
-                    out[:, :1] = time
-                    np.multiply(gate / norm, u, out=out[:, 1:])
-                    g_acosh[rows, k] = lmath._acosh_adjoint(ad._rowdot(g_sum, out), z, kappa)
-        return block
+                rest = (z, a, shift) if need_rows else None
+                kept.append((rows, c, u, norm, gate, sig, nu, normal, rest))
+        return points, (nbr, ctr, values, maps, points, kept)
 
     def backward(g, saved, needs):
-        nbr, ctr, values, points, tiles = saved
-        D = g.shape[1] - 1
-        block = adjoint_block(g, points, tiles)
-        c = np.concatenate([tile[1] for tile in tiles])
-        feats = lmath._boosted(nbr, ctr, c, kappa)
-        # weight and gate-direction adjoints summed over tiles, one product
-        # per tile and kernel: OpenBLAS splits a product of more than about
-        # 1e6 multiply-adds across threads and rounds it differently, and at
-        # widths up to about 30 these stay below that
-        g_params = np.zeros((K * (D + 1), feats.shape[1]))
-        kernel_cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(K * D, K * (D + 1))]
-        for rows, *_ in tiles:
-            for cols in kernel_cols:
-                g_params[cols] += block[rows, cols].T @ feats[rows]
-        # column sums added row by row, not as a matrix-vector product, whose
-        # rounding depends on how many BLAS threads share it
-        sums = block[:, : K * (D + 1)].sum(axis=0)
-        scale_sums = block[:, K * (D + 2) :].sum(axis=0)
+        nbr, ctr, values, maps, points, kept = saved
+        D, W = g.shape[1] - 1, nbr.shape[1]
+        KD = K * D
+        lifted = _with_ones(-(-len(nbr) // len(kept)), W)
+        block = np.empty((len(lifted), K * (D + 2)))
+        g_maps = np.zeros((K * (D + 1), W + 1))
+        kernel_cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(KD, KD + K)]
+        g_scales = np.zeros(K)
         grads = [None, None]
         if need_rows:
-            metric = lmath.metric_row(kernel_rows.shape[1] - 1)
-            stacked = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
-            g_feats = block[:, : K * (D + 2)] @ stacked
-            del block  # dropped before the boost's adjoint allocates its rows
-            a, shift = (np.concatenate(parts) for parts in zip(*(tile[2] for tile in tiles)))
-            grads = list(
-                lmath._boost_backward(g_feats, nbr, ctr, feats, a, shift, c, kappa, needs[:2])
-            )
+            # the block's product with the maps, widened as the forward's
+            stacked = np.zeros((block.shape[1], _lanes(W)))
+            stacked[:, :W] = maps[:W, : block.shape[1]].T
+            g_lifted = np.empty((len(block), stacked.shape[1]))
+            grads = [np.empty_like(v) if need else None for v, need in zip((nbr, ctr), needs)]
+        for rows, c, u, norm, gate, sig, nu, normal, rest in kept:
+            g_sum = lmath._normalized_backward(g[rows], points[rows], *normal, kappa)
+            g_time, g_spatial = g_sum[:, :1], g_sum[:, 1:]
+            along = np.einsum("ed,ekd->ek", g_spatial, u)
+            time = np.sqrt(gate * gate - 1.0 / kappa)
+            g_gate = nu * (along / norm + g_time * (gate / time))
+            g_scales += (g_gate * gate).sum(axis=0)
+            tile = block[: len(norm)]
+            # g_u = nu * gate / |u| * (g_spatial - along / |u|^2 * u), in place
+            g_u = tile[:, :KD].reshape(-1, K, D)
+            np.multiply(u, (-along / (norm * norm))[..., None], out=g_u)
+            g_u += g_spatial[:, None, :]
+            g_u *= (nu * gate / norm)[..., None]
+            if mask is not None:
+                g_u *= mask[rows]
+            tile[:, KD : KD + K] = g_gate * gate * (1.0 - sig)
+            x = lifted[: len(norm)]
+            x[:, :W] = lmath._boosted(nbr[rows], ctr[rows], c, kappa)
+            # weight and bias adjoints summed over tiles, one product per
+            # tile and kernel: OpenBLAS splits a product of more than about
+            # 1e6 multiply-adds across threads and rounds it differently,
+            # and at widths up to about 30 these stay below that
+            for cols in kernel_cols:
+                g_maps[cols] += tile[:, cols].T @ x
+            if need_rows:
+                z, a, shift = rest
+                g_nu = g_time * time + along * (gate / norm)
+                tile[:, KD + K :] = lmath._acosh_adjoint(g_nu, z, kappa)
+                g_feats = np.matmul(tile, stacked, out=g_lifted[: len(tile)])[:, :W]
+                parts = lmath._boost_backward(
+                    g_feats, nbr[rows], ctr[rows], x[:, :W], a, shift, c, kappa, needs[:2]
+                )
+                for full, part in zip(grads, parts):
+                    if full is not None:
+                        full[rows] = part
         for k in range(K):
             _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
             grads += [
-                g_params[k * D : (k + 1) * D],
-                g_params[K * D + k].reshape(gate_vec.shape),
-                sums[k * D : (k + 1) * D].reshape(bias.shape),
-                sums[K * D + k].reshape(np.shape(gate_bias)),
-                scale_sums[k].reshape(np.shape(log_scale)),
+                g_maps[k * D : (k + 1) * D, :W],
+                g_maps[KD + k, :W].reshape(gate_vec.shape),
+                g_maps[k * D : (k + 1) * D, W].reshape(bias.shape),
+                g_maps[KD + k, W].reshape(np.shape(gate_bias)),
+                g_scales[k].reshape(np.shape(log_scale)),
             ]
         return tuple(grads)
 

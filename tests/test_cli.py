@@ -515,6 +515,33 @@ class TestTrainEvalSweep:
         )
         assert code == 0
 
+    def test_eval_rejects_a_label_beyond_the_model_classes(self, tmp_path, capsys):
+        # five one-edge graphs with the synthetic suite's nine degree
+        # columns; label 4 lies below the five graphs but beyond the
+        # checkpoint's two classes
+        out = tmp_path / "train"
+        assert main(["train", "--out", str(out), *_SMALL_TRAIN[:4], "--max-epochs", "2"]) == 0
+        batch = graphnet.GraphBatch(
+            features=np.eye(9)[np.ones(10, dtype=int)],
+            edges=np.arange(10).reshape(5, 2),
+            labels=[0, 1, 0, 1, 4],
+            graph_ids=np.repeat(np.arange(5), 2),
+        )
+        data_path = tmp_path / "five.json"
+        graphnet.save_dataset(batch, data_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "eval", "--checkpoint", str(out / "checkpoint.json"),
+                "--data", str(data_path), "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "'labels' holds 4" in err[0] and "model's 2 classes" in err[0]
+        assert not (tmp_path / "e" / "report.json").exists()
+
     def test_sweep_emits_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(
