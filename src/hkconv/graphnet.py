@@ -172,14 +172,6 @@ class GraphBatch:
                 raise DataFormatError("node task needs one label per node")
         if labels.size and labels.min() < 0:
             raise DataFormatError("labels must be nonnegative class indices")
-        # one head row per class up to the largest label: a class index
-        # needs a labelled unit to name it
-        if labels.size and labels.max() >= labels.shape[0]:
-            units = "graphs" if self.graph_ids is not None else "nodes"
-            raise DataFormatError(
-                f"field 'labels' holds {int(labels.max())}, not below the "
-                f"{labels.shape[0]} labelled {units}"
-            )
         for array in stored:
             array.setflags(write=False)
 
@@ -209,7 +201,17 @@ class GraphBatch:
 
     @property
     def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
+        """One class per index up to the largest label, the head rows a
+        model built on this data gets. A class index needs a labelled unit
+        to name it, so a label at or above their number raises
+        DataFormatError."""
+        top = int(self.labels.max())
+        if top >= self.labels.shape[0]:
+            units = "graphs" if self.task == "graph" else "nodes"
+            raise DataFormatError(
+                f"field 'labels' holds {top}, not below the {self.labels.shape[0]} labelled {units}"
+            )
+        return top + 1
 
     @property
     def isolated(self) -> np.ndarray:
@@ -658,14 +660,19 @@ def _split_metrics(logits: np.ndarray, batch: GraphBatch, split: str):
     return float(np.mean(pred == y)), macro_f1_score(y, pred), loss
 
 
-def evaluate(model: HKN, data: GraphBatch, split: str) -> Metrics:
-    """Accuracy, macro-F1 and mean cross-entropy on one split; read-only.
-    A label the model has no class for raises DataFormatError."""
-    if data.labels.size and data.labels.max() >= model.num_classes:
+def _check_classes(model: HKN, data: GraphBatch) -> None:
+    """A label the model has no class for raises DataFormatError."""
+    if data.labels.max() >= model.num_classes:
         raise DataFormatError(
             f"field 'labels' holds {int(data.labels.max())}, not below the "
             f"model's {model.num_classes} classes"
         )
+
+
+def evaluate(model: HKN, data: GraphBatch, split: str) -> Metrics:
+    """Accuracy, macro-F1 and mean cross-entropy on one split; read-only.
+    A label the model has no class for raises DataFormatError."""
+    _check_classes(model, data)
     logits = np.asarray(forward_logits(model, data))
     acc, f1, loss = _split_metrics(logits, data, split)
     return Metrics(accuracy=acc, macro_f1=f1, loss=loss)
@@ -691,8 +698,10 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
     gradient pass without a backward once patience runs out. Only the last
     epoch under max_epochs takes a no-tape forward of its own. With dropout
     the recorded forward draws masks, so each epoch is scored by a no-tape
-    forward after its step.
+    forward after its step. A label the model has no class for raises
+    DataFormatError.
     """
+    _check_classes(model, data)
     cfg = cfg or TrainConfig()
     mcfg = model.cfg
     train_idx = split_indices(data, "train")

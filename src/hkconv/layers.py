@@ -4,7 +4,8 @@ The building blocks:
 
 * feature transform: a gated linear map whose output is re-lifted onto the
   manifold by solving for the time coordinate (so no projection step and no
-  tangent-space detour is needed),
+  tangent-space detour is needed); _gate_maps and _gates compute K of them
+  at once for the conv layer's node, and one for hlinear_core,
 * weighted centroid: a Lorentz-norm normalized weighted sum, the
   aggregation used everywhere points must be combined,
 * centroid-distance readout: distances to a bank of reference points,
@@ -26,10 +27,11 @@ The building blocks:
   lists and gathers the points to the edges.
 
 Each operation has one implementation, a batched core working on
-coordinate rows (plain ndarrays or autodiff tensors), which the graph
-networks drive directly. The typed functions (hlinear, hcent, hcdist,
-hkconv) validate LorentzPoint inputs and run the same core on one point or
-one neighborhood. The cores pool rows that arrive grouped by segment and
+coordinate rows (plain ndarrays or autodiff tensors; hlinear_core, which
+the model never runs, plain ndarrays only), which the graph networks
+drive directly. The typed functions (hlinear, hcent, hcdist, hkconv)
+validate LorentzPoint inputs and run the same core on one point or one
+neighborhood. The cores pool rows that arrive grouped by segment and
 add each segment in the order given (autodiff.segment_sum), so the
 caller fixes the summation order. The typed functions give the rows in
 the order of their bytes (_byte_order), which no relabeling of the input
@@ -148,87 +150,25 @@ def init_hlinear(rng: np.random.Generator, in_dim: int, out_dim: int) -> HLinear
     )
 
 
-def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask):
-    """The gated transform on raw arrays -> (spatial, (u, norm, gate, sig,
-    time)): the spatial part of the rows on the manifold and what the
-    backward rule reads, whose last entry is the rows' time column."""
-    u = x @ weight.T + bias
-    if drop_mask is not None:
-        u = u * drop_mask
-    norm_sq = ad._rowdot(u, u)[..., None]
-    if float(np.min(norm_sq)) < _DEGENERATE_NORM**2:
-        raise DegenerateGeometryError(
-            "gated linear transform: pre-normalization vector has vanishing norm"
-        )
-    gate_logit = ad._rowdot(x, gate_vec)[..., None]
-    sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
-    gate = np.exp(log_scale) * sig
-    norm = np.sqrt(norm_sq)
-    spatial = gate / norm * u
-    return spatial, (u, norm, gate, sig, lmath._time(spatial, kappa))
+def hlinear_core(x, weight, gate_vec, bias, gate_bias, log_scale, kappa: float):
+    """Batched gated linear transform on plain arrays, rows of x -> rows on
+    L^out_dim; x may be (in_dim+1,) or (..., in_dim+1).
 
-
-def _gated_backward(g, u, norm, gate, sig, time, drop_mask):
-    """Row adjoints (g_u, g_logit, g_gate) of the gated transform for the
-    adjoint g of its output: g_u of the affine map x @ weight.T + bias,
-    g_logit of the gate logit and g_gate of the gate."""
-    g_time, g_spatial = g[..., :1], g[..., 1:]
-    # spatial = gate * u / |u| has norm gate, so the time coordinate
-    # depends on the gate alone and u receives only the spatial adjoint
-    along = ad._rowdot(g_spatial, u)[..., None]
-    g_u = gate / norm * (g_spatial - along / (norm * norm) * u)
-    if drop_mask is not None:
-        g_u *= drop_mask
-    g_gate = along / norm + g_time * (gate / time)
-    g_logit = g_gate * gate * (1.0 - sig)
-    return g_u, g_logit, g_gate
-
-
-def hlinear_core(
-    x,
-    weight,
-    gate_vec,
-    bias,
-    gate_bias,
-    log_scale,
-    kappa: float,
-    drop_mask=None,
-):
-    """Batched gated linear transform, rows of x -> rows on L^out_dim.
-
-    x may be (in_dim+1,) or (..., in_dim+1); parameters may be ndarrays or
-    autodiff tensors. drop_mask, when given, multiplies the
-    pre-normalization vector (inverted-dropout masks come pre-scaled).
-    The map is one tape op; its backward rule uses the pre-normalization
-    vector u, its norm, the gate and the time column kept by the forward.
+    The map is _edge_points' stacked transform with one kernel. Its spatial
+    part gate * u / |u| has norm gate, so its time coordinate is
+    sqrt(gate^2 - 1/kappa).
     """
-
-    def forward(x, weight, gate_vec, bias, gate_bias, log_scale):
-        spatial, kept = _gated_forward(
-            x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask
-        )
-        return np.concatenate([kept[-1], spatial], axis=-1), (x, weight, gate_vec, kept)
-
-    def backward(g, saved, needs):
-        x, weight, gate_vec, kept = saved
-        g_u, g_logit, g_gate = _gated_backward(g, *kept, drop_mask)
-        gate = kept[2]
-        need_x, need_w, need_gv, need_b, need_gb, need_ls = needs
-        rows_u = g_u.reshape(-1, g_u.shape[-1])
-        rows_x = x.reshape(-1, x.shape[-1])
-        rows_logit = g_logit.reshape(-1)
-        return (
-            g_logit * gate_vec + g_u @ weight if need_x else None,
-            rows_u.T @ rows_x if need_w else None,
-            (rows_logit[:, None] * rows_x).sum(axis=0).reshape(gate_vec.shape) if need_gv else None,
-            rows_u.sum(axis=0).reshape(bias.shape) if need_b else None,
-            ad._unbroadcast(g_logit, np.shape(gate_bias)) if need_gb else None,
-            ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
-        )
-
-    return ad._lift(
-        "hlinear", (x, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
-    )
+    x = np.asarray(x, dtype=np.float64)
+    D, W = np.shape(weight)
+    rows = x.reshape(-1, x.shape[-1])
+    lifted = _with_ones(len(rows), W)
+    lifted[:, :W] = rows
+    maps = _gate_maps([weight], [gate_vec], [bias], [gate_bias])
+    u, norm, gate, _ = _gates(lifted @ maps, 1, D, np.exp(log_scale))
+    out = np.empty((len(lifted), D + 1))
+    out[:, :1] = np.sqrt(gate * gate - 1.0 / kappa)
+    out[:, 1:] = gate / norm * u[:, 0]
+    return out.reshape(x.shape[:-1] + (D + 1,))
 
 
 def hlinear(x: manifold.LorentzPoint, p: HLinearParams) -> manifold.LorentzPoint:
@@ -425,6 +365,44 @@ def _lanes(columns: int) -> int:
     return -(-columns // _LANES) * _LANES
 
 
+def _gate_maps(weights, gate_vecs, biases, gate_biases, extra=None) -> np.ndarray:
+    """The (in_dim+2, columns) parameter matrix of K gated transforms: its
+    product with rows that end in a ones column gives the K affine maps,
+    the K gate logits and then the columns of extra (in_dim+1, m), biases
+    included through its last row. Zero columns widen it to _lanes."""
+    K = len(weights)
+    D, W = weights[0].shape
+    cols = K * (D + 1)
+    extra = np.zeros((W, 0)) if extra is None else extra
+    maps = np.zeros((W + 1, _lanes(cols + extra.shape[1])))
+    maps[:W, : K * D] = np.concatenate(weights).T
+    maps[W, : K * D] = np.concatenate(biases)
+    maps[:W, K * D : cols] = np.stack(gate_vecs, axis=1)
+    maps[W, K * D : cols] = gate_biases
+    maps[:W, cols : cols + extra.shape[1]] = extra
+    return maps
+
+
+def _gates(product, K: int, D: int, amplitude, mask=None):
+    """The K gated transforms of a _gate_maps product -> (u, norm, gate,
+    sig): the (rows, K, out_dim) pre-normalization vectors, scaled in place
+    by the pre-scaled dropout mask if given, their (rows, K) norms, the
+    gates amplitude * sig and the gate logits' sigmoids. A vanishing u has
+    no direction and raises DegenerateGeometryError naming its kernel."""
+    u = product[:, : K * D].reshape(-1, K, D)
+    if mask is not None:
+        u *= mask
+    norm_sq = np.einsum("ekd,ekd->ek", u, u)
+    worst = np.argmin(norm_sq)
+    if norm_sq.flat[worst] < _DEGENERATE_NORM**2:
+        raise DegenerateGeometryError(
+            f"gated linear transform of kernel {worst % K}: "
+            "pre-normalization vector has vanishing norm"
+        )
+    sig = 1.0 / (1.0 + np.exp(-product[:, K * D : K * (D + 1)]))
+    return u, np.sqrt(norm_sq), amplitude * sig, sig
+
+
 def _edge_points(
     center_rows,
     neighbor_rows,
@@ -450,8 +428,9 @@ def _edge_points(
     the K gate logits and the K kernel inner products, biases included. A
     transform's spatial part has norm gate, so its time coordinate is
     sqrt(gate^2 - 1/kappa), and the spatial sum is one contraction of the
-    stacked maps with the scales nu * gate / |u|. The values are those of
-    the chain lmath.ominus, hlinear_core, lmath.dist and
+    stacked maps with the scales nu * gate / |u| (_gate_maps and _gates,
+    which hlinear_core runs with one kernel). The values are those of the
+    chain lmath.ominus, K gated transforms and lmath.dist, and
     lmath.normalize_timelike up to the rounding of the re-associated sums;
     a row's bits depend on that row alone, not on the tile it shares.
 
@@ -486,14 +465,8 @@ def _edge_points(
         weights, gate_vecs, biases, gate_biases, log_scales = (values[j::n] for j in range(n))
         D, W = weights[0].shape
         KD = K * D
-        # the product's columns: K affine maps, K gate logits, K kernel
-        # inner products; its last row meets the ones column
-        maps = np.zeros((W + 1, _lanes(K * (D + 2))))
-        maps[:W, :KD] = np.concatenate(weights).T
-        maps[W, :KD] = np.concatenate(biases)
-        maps[:W, KD : KD + K] = np.stack(gate_vecs, axis=1)
-        maps[W, KD : KD + K] = gate_biases
-        maps[:W, KD + K : KD + 2 * K] = (kernel_rows * metric).T
+        # the kernel inner products follow the K affine maps and gate logits
+        maps = _gate_maps(weights, gate_vecs, biases, gate_biases, (kernel_rows * metric).T)
         amplitude = np.exp(np.asarray(log_scales, dtype=np.float64))
         tiles = _tiles(len(nbr))
         longest = -(-len(nbr) // len(tiles))
@@ -508,21 +481,10 @@ def _edge_points(
             x = lifted[: len(feats)]
             x[:, :W] = feats
             product = np.matmul(x, maps, out=products[rows] if recording else products[: len(x)])
-            u = product[:, :KD].reshape(-1, K, D)
-            if mask is not None:
-                u *= mask[rows]
-            norm_sq = np.einsum("ekd,ekd->ek", u, u)
-            worst = np.argmin(norm_sq)
-            if norm_sq.flat[worst] < _DEGENERATE_NORM**2:
-                raise DegenerateGeometryError(
-                    f"gated linear transform of kernel {worst % K}: "
-                    "pre-normalization vector has vanishing norm"
-                )
-            sig = 1.0 / (1.0 + np.exp(-product[:, KD : KD + K]))
-            gate = amplitude * sig
+            tile_mask = None if mask is None else mask[rows]
+            u, norm, gate, sig = _gates(product, K, D, amplitude, tile_mask)
             z = np.maximum(kappa * product[:, KD + K : KD + 2 * K], 1.0)
             nu = np.arccosh(z) / math.sqrt(-kappa)
-            norm = np.sqrt(norm_sq)
             aggregate = np.empty((len(feats), D + 1))
             np.einsum("ek,ek->e", nu, np.sqrt(gate * gate - 1.0 / kappa), out=aggregate[:, 0])
             np.einsum("ek,ekd->ed", nu * gate / norm, u, out=aggregate[:, 1:])

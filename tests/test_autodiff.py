@@ -672,7 +672,6 @@ _REACHED_OPS = {
     "add", "subtract", "multiply", "divide", "negative", "sum", "rowdot", "reshape",
     "concatenate", "take", "segment_sum", "exp", "log", "sqrt", "cosh", "sinh",
     "clamp_min", "where", "dist", "cross_dist", "normalize_timelike", "edge_points",
-    "hlinear",
 }
 # defined ops that only the tests' composite oracles record, or (ominus)
 # that the chain oracle records and the bench tracer hooks

@@ -542,6 +542,30 @@ class TestTrainEvalSweep:
         assert "'labels' holds 4" in err[0] and "model's 2 classes" in err[0]
         assert not (tmp_path / "e" / "report.json").exists()
 
+    def test_eval_of_one_graph_labelled_within_the_model_classes(self, tmp_path, capsys):
+        # one graph labelled 1: a class the two-class checkpoint has,
+        # though the file holds a single labelled graph
+        out = tmp_path / "train"
+        assert main(["train", "--out", str(out), *_SMALL_TRAIN[:4], "--max-epochs", "2"]) == 0
+        batch = graphnet.GraphBatch(
+            features=np.eye(9)[np.ones(2, dtype=int)],
+            edges=[[0, 1]],
+            labels=[1],
+            graph_ids=[0, 0],
+        )
+        data_path = tmp_path / "one.json"
+        graphnet.save_dataset(batch, data_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "eval", "--checkpoint", str(out / "checkpoint.json"),
+                "--data", str(data_path), "--out", str(tmp_path / "e"),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert report["split"] == "test" and report["accuracy"] in (0.0, 1.0)
+
     def test_sweep_emits_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(

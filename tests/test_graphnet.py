@@ -221,8 +221,9 @@ class TestGraphBatch:
         labels = graphs.labels.copy()
         labels[3] = 10**7
         bound = "'labels' holds 10000000, not below the 20 labelled graphs"
+        batch = gn.GraphBatch(graphs.features, graphs.edges, labels, graph_ids=graphs.graph_ids)
         with pytest.raises(DataFormatError, match=bound):
-            gn.GraphBatch(graphs.features, graphs.edges, labels, graph_ids=graphs.graph_ids)
+            batch.num_classes
         labels[3] = 19
         assert gn.GraphBatch(
             graphs.features, graphs.edges, labels, graph_ids=graphs.graph_ids
@@ -230,8 +231,9 @@ class TestGraphBatch:
         nodes = _node_task_batch(rng)
         labels = nodes.labels.copy()
         labels[0] = nodes.num_nodes
+        batch = gn.GraphBatch(nodes.features, nodes.edges, labels, masks=nodes.masks)
         with pytest.raises(DataFormatError, match="not below the 10 labelled nodes"):
-            gn.GraphBatch(nodes.features, nodes.edges, labels, masks=nodes.masks)
+            batch.num_classes
 
     @pytest.mark.parametrize("value", (["x", 0, 0], [2, 0, 0], [0.5, 0, 0], [None, 0, 0], "100"))
     def test_masks_hold_booleans_or_0_1(self, value):
@@ -883,6 +885,23 @@ class TestTraining:
         metrics = gn.train(model, batch, gn.TrainConfig(max_epochs=1))
         first = [r for r in metrics.history if r[0] == 0 and r[1] == "train"][0]
         assert abs(first[2] - math.log(2.0)) <= 0.2
+
+    def test_a_label_beyond_the_model_classes_is_a_data_error(self):
+        # label 5 lies below the 60 labelled graphs but beyond the model's
+        # two classes, which the loss's one-hot rows cannot index
+        batch = _small_batch()
+        labels = batch.labels.copy()
+        labels[3] = 5
+        batch = gn.GraphBatch(batch.features, batch.edges, labels, graph_ids=batch.graph_ids)
+        model = gn.build_hkn(gn.HKNConfig(), feature_dim=9, num_classes=2)
+        before = {p: v.copy() for p, v in model.store.items()}
+        bound = "'labels' holds 5, not below the model's 2 classes"
+        with pytest.raises(DataFormatError, match=bound):
+            gn.train(model, batch, gn.TrainConfig(max_epochs=1))
+        for p, v in model.store.items():
+            np.testing.assert_array_equal(v, before[p])
+        with pytest.raises(DataFormatError, match=bound):
+            gn.evaluate(model, batch, "test")
 
     def test_loss_decreases_over_first_twenty_epochs(self):
         batch = _small_batch()

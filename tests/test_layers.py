@@ -41,6 +41,91 @@ def _composite_hlinear(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, m
     return ad.concatenate([time, spatial], axis=-1)
 
 
+# the gated transform per kernel, on raw arrays and as one fused tape op:
+# the reference that the chain oracles of TestKernelAggregate record
+def _gated_forward(x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask):
+    """The gated transform on raw arrays -> (spatial, (u, norm, gate, sig,
+    time)): the spatial part of the rows on the manifold and what the
+    backward rule reads, whose last entry is the rows' time column."""
+    u = x @ weight.T + bias
+    if drop_mask is not None:
+        u = u * drop_mask
+    norm_sq = ad._rowdot(u, u)[..., None]
+    if float(np.min(norm_sq)) < layers._DEGENERATE_NORM**2:
+        raise DegenerateGeometryError(
+            "gated linear transform: pre-normalization vector has vanishing norm"
+        )
+    gate_logit = ad._rowdot(x, gate_vec)[..., None]
+    sig = 1.0 / (1.0 + np.exp(-(gate_logit + gate_bias)))
+    gate = np.exp(log_scale) * sig
+    norm = np.sqrt(norm_sq)
+    spatial = gate / norm * u
+    return spatial, (u, norm, gate, sig, lmath._time(spatial, kappa))
+
+
+def _gated_backward(g, u, norm, gate, sig, time, drop_mask):
+    """Row adjoints (g_u, g_logit, g_gate) of the gated transform for the
+    adjoint g of its output: g_u of the affine map x @ weight.T + bias,
+    g_logit of the gate logit and g_gate of the gate."""
+    g_time, g_spatial = g[..., :1], g[..., 1:]
+    # spatial = gate * u / |u| has norm gate, so the time coordinate
+    # depends on the gate alone and u receives only the spatial adjoint
+    along = ad._rowdot(g_spatial, u)[..., None]
+    g_u = gate / norm * (g_spatial - along / (norm * norm) * u)
+    if drop_mask is not None:
+        g_u *= drop_mask
+    g_gate = along / norm + g_time * (gate / time)
+    g_logit = g_gate * gate * (1.0 - sig)
+    return g_u, g_logit, g_gate
+
+
+def _fused_hlinear(
+    x,
+    weight,
+    gate_vec,
+    bias,
+    gate_bias,
+    log_scale,
+    kappa: float,
+    drop_mask=None,
+):
+    """The gated transform as one tape op, rows of x -> rows on L^out_dim.
+
+    x may be (in_dim+1,) or (..., in_dim+1); parameters may be ndarrays or
+    autodiff tensors. drop_mask, when given, multiplies the
+    pre-normalization vector (inverted-dropout masks come pre-scaled).
+    The map is one tape op; its backward rule uses the pre-normalization
+    vector u, its norm, the gate and the time column kept by the forward.
+    """
+
+    def forward(x, weight, gate_vec, bias, gate_bias, log_scale):
+        spatial, kept = _gated_forward(
+            x, weight, gate_vec, bias, gate_bias, log_scale, kappa, drop_mask
+        )
+        return np.concatenate([kept[-1], spatial], axis=-1), (x, weight, gate_vec, kept)
+
+    def backward(g, saved, needs):
+        x, weight, gate_vec, kept = saved
+        g_u, g_logit, g_gate = _gated_backward(g, *kept, drop_mask)
+        gate = kept[2]
+        need_x, need_w, need_gv, need_b, need_gb, need_ls = needs
+        rows_u = g_u.reshape(-1, g_u.shape[-1])
+        rows_x = x.reshape(-1, x.shape[-1])
+        rows_logit = g_logit.reshape(-1)
+        return (
+            g_logit * gate_vec + g_u @ weight if need_x else None,
+            rows_u.T @ rows_x if need_w else None,
+            (rows_logit[:, None] * rows_x).sum(axis=0).reshape(gate_vec.shape) if need_gv else None,
+            rows_u.sum(axis=0).reshape(bias.shape) if need_b else None,
+            ad._unbroadcast(g_logit, np.shape(gate_bias)) if need_gb else None,
+            ad._unbroadcast(g_gate * gate, np.shape(log_scale)) if need_ls else None,
+        )
+
+    return ad._lift(
+        "hlinear", (x, weight, gate_vec, bias, gate_bias, log_scale), forward, backward
+    )
+
+
 def _lorentz_norm_scale(s, kappa):
     sq = -(s[0] ** 2) + s[1:] @ s[1:]
     return np.sqrt(-kappa * abs(sq))
@@ -68,6 +153,15 @@ class TestHLinear:
             got = layers.hlinear(x, p)
             want = _naive_hlinear(x.coords, p, cfg3.curvature)
             np.testing.assert_allclose(got.coords, want, rtol=1e-10, atol=1e-12)
+            # the raw core keeps its leading axes: a 1-D row and a (2, 3) batch
+            core = layers.hlinear_core(x.coords, *p.values(), cfg3.curvature)
+            np.testing.assert_allclose(core, want, rtol=1e-10, atol=1e-12)
+            batch = np.stack([manifold.random_point(rng, cfg3).coords for _ in range(6)])
+            got = layers.hlinear_core(batch.reshape(2, 3, 4), *p.values(), cfg3.curvature)
+            assert got.shape == (2, 3, out_dim + 1)
+            for row, out in zip(batch, got.reshape(6, -1)):
+                want = _naive_hlinear(row, p, cfg3.curvature)
+                np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
 
     def test_output_is_on_manifold(self, cfg3, rng):
         for _ in range(20):
@@ -103,7 +197,7 @@ class TestHLinear:
         store.add("bias", rng.standard_normal(4))
 
         def loss(leaves):
-            out = layers.hlinear_core(
+            out = _fused_hlinear(
                 x.coords[None, :],
                 leaves["weight"],
                 leaves["gate_vec"],
@@ -137,7 +231,7 @@ class TestHLinear:
         def run(fn, values):
             return fn(*[values[n] for n in names], kappa, mask)
 
-        fused = run(layers.hlinear_core, args)
+        fused = run(_fused_hlinear, args)
         np.testing.assert_array_equal(
             fused.view(np.int64), run(_composite_hlinear, args).view(np.int64)
         )
@@ -145,11 +239,11 @@ class TestHLinear:
         for n in names:
             store.add(n, args[n])
         weights = rng.standard_normal(fused.shape)
-        got = ad.grad(lambda leaves: ad.sum(run(layers.hlinear_core, leaves) * weights), store)
+        got = ad.grad(lambda leaves: ad.sum(run(_fused_hlinear, leaves) * weights), store)
         want = ad.grad(lambda leaves: ad.sum(run(_composite_hlinear, leaves) * weights), store)
         leaves = store.tensors()
         np.testing.assert_array_equal(
-            run(layers.hlinear_core, leaves).value.view(np.int64), fused.view(np.int64)
+            run(_fused_hlinear, leaves).value.view(np.int64), fused.view(np.int64)
         )
         for n in names:
             scale = np.max(np.abs(want[n]))
@@ -159,7 +253,7 @@ class TestHLinear:
         p = layers.init_hlinear(rng, 3, 4)
         x = ad.Tensor(lmath.embed(rng.standard_normal((6, 3)), -1.0))
         leaves = [ad.Tensor(a) for a in (p.weight, p.gate_vec, p.bias)]
-        out = layers.hlinear_core(x, *leaves, 0.0, 0.0, -1.0)
+        out = _fused_hlinear(x, *leaves, 0.0, 0.0, -1.0)
         assert out.op == "hlinear"
         assert all(parent.op == "leaf" for parent in out.parents)
 
@@ -169,7 +263,7 @@ def _per_kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None)
     aggregate = None
     for k, params in enumerate(sublayers):
         mask = None if drop_masks is None else drop_masks[k]
-        transformed = layers.hlinear_core(feats, *params, kappa, mask)
+        transformed = _fused_hlinear(feats, *params, kappa, mask)
         nu = lmath.dist(feats, kernel_rows[k], kappa)
         term = layers._as_column(nu) * transformed
         aggregate = term if aggregate is None else aggregate + term
@@ -188,7 +282,7 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
         aggregate = None
         kept = []
         for k in range(K):
-            spatial, gated = layers._gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
+            spatial, gated = _gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
             out = np.concatenate([gated[-1], spatial], axis=-1)
             nu, z = lmath._dist(x, kernel_rows[k], kappa)
             term = nu.reshape(nu.shape + (1,)) * out
@@ -205,7 +299,7 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
         block = np.empty((E, K * (D + 3)))
         g_logits, g_acosh, g_scales = (block[:, K * (D + j) : K * (D + j + 1)] for j in range(3))
         for k, (out, gated, nu, z) in enumerate(kept):
-            g_u, g_logit, g_gate = layers._gated_backward(g * nu[:, None], *gated, masks[k])
+            g_u, g_logit, g_gate = _gated_backward(g * nu[:, None], *gated, masks[k])
             block[:, k * D : (k + 1) * D] = g_u
             g_logits[:, k] = g_logit[:, 0]
             g_scales[:, k] = (g_gate * gated[2])[:, 0]
@@ -494,6 +588,18 @@ class TestKernelAggregate:
                 tracemalloc.stop()
             assert isinstance(out, ad.Tensor)
         assert held[True] - held[False] >= (K + 2) * edges * 8
+
+    @pytest.mark.parametrize("kappa", (-1.0, -0.7, -2.5))
+    @pytest.mark.parametrize("width, out_dim", ((4, 5), (10, 16), (17, 16)))
+    def test_one_kernel_at_the_origin_is_the_typed_transform(self, rng, kappa, width, out_dim):
+        # roots at the origin leave the neighbors where they are, and one
+        # kernel away from them scales every point by a positive distance
+        # that the normalization removes: the node runs hlinear_core's map
+        _, rows, _, sublayers = _aggregation_inputs(rng, 1, width, out_dim, 50, kappa)
+        origin = np.repeat(lmath.origin_row(width - 1, kappa)[None, :], len(rows), axis=0)
+        kernel = lmath.embed(np.full((1, width - 1), 3.0), kappa)
+        got = layers._edge_points(origin, rows, sublayers, kernel, kappa)
+        _assert_near(got, layers.hlinear_core(rows, *sublayers[0], kappa), FORWARD_BOUND)
 
     def test_vanishing_prenorm_vector_of_one_kernel_is_degenerate(self, rng):
         centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)
