@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by all hkconv modules."""
+"""Exception taxonomy shared by all hkconv modules, and the JSON reader."""
+
+import json
+from pathlib import Path
 
 
 class HkconvError(Exception):
@@ -54,3 +57,15 @@ class BuildError(HkconvError, TypeError):
 
 class DataFormatError(HkconvError, ValueError):
     """A dataset, kernel, or checkpoint file violates its schema."""
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path; any other file raises
+    DataFormatError naming what it was to hold (dataset, checkpoint...)."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise DataFormatError(f"{what} must be a JSON object")
+    return record

@@ -40,6 +40,7 @@ from .errors import (
     DimensionError,
     NumericError,
     ParameterError,
+    read_json,
 )
 from .layout import edge_arrays  # noqa: F401  (graphnet.edge_arrays is public)
 
@@ -243,12 +244,7 @@ def load_dataset(path) -> GraphBatch:
     """The dataset in a JSON file. Fields reach GraphBatch as parsed, so
     that it rejects a fraction, an out-of-range integer or a string where
     a cast would truncate, wrap or parse it."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"dataset is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DataFormatError("dataset must be a JSON object")
+    data = read_json(path, "dataset")
     for key in ("num_nodes", "features", "edges", "labels"):
         if key not in data:
             raise DataFormatError(f"dataset missing field {key!r}")
@@ -527,22 +523,18 @@ def build_hkn(
     return HKN(cfg, feature_dim, num_classes, layer_kernels, store)
 
 
-def _param_path(layer: int, k: int, name: str) -> str:
-    return f"layer{layer}.k{k}.{name}"
-
-
 def _init_store(cfg: HKNConfig, feature_dim: int, num_classes: int) -> ad.ParamStore:
-    """Freshly initialized parameters in the model's one layout: the
-    layers.PARAM_NAMES leaves of every kernel of every layer, then the
-    head's class reference points."""
+    """Freshly initialized parameters in the model's one layout: per conv
+    layer, the leaves layer{i}.<name> of layers.PARAM_NAMES, each stacked
+    over the K transforms init_hlinear draws in turn; then the head's
+    class reference points."""
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     store = ad.ParamStore()
     for i in range(cfg.layers):
         in_dim = feature_dim if i == 0 else cfg.hidden_dim
-        for k in range(cfg.K):
-            p = layers.init_hlinear(rng, in_dim, cfg.hidden_dim)
-            for name, value in zip(layers.PARAM_NAMES, p.values()):
-                store.add(_param_path(i, k, name), value)
+        drawn = [layers.init_hlinear(rng, in_dim, cfg.hidden_dim).values() for _ in range(cfg.K)]
+        for name, field in zip(layers.PARAM_NAMES, zip(*drawn)):
+            store.add(f"layer{i}.{name}", np.stack(field))
     store.add("head.centroids", 0.1 * rng.standard_normal((num_classes, cfg.hidden_dim)))
     return store
 
@@ -551,9 +543,9 @@ def _drop_mask(draw: np.ndarray, keep: float) -> np.ndarray:
     """Inverted-dropout mask from uniform draws: an entry is kept (1/keep)
     where its draw is below keep. A row that would drop every entry keeps
     them all instead, since a zero vector has no direction for the gated
-    transform to normalize; other rows are untouched."""
+    transform to normalize; other (last-axis) rows are untouched."""
     mask = (draw < keep) / keep
-    mask[~mask.any(axis=1)] = 1.0 / keep
+    mask[~mask.any(axis=-1)] = 1.0 / keep
     return mask
 
 
@@ -569,9 +561,9 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
 
     leaves defaults to the store's current arrays; during training it is
     the tensor view created by the gradient driver. Dropout masks are
-    drawn only when training with cfg.dropout > 0, one mask row per pair
-    row; with dropout every node is its own class and every edge its own
-    pair, in edge_arrays order.
+    drawn only when training with cfg.dropout > 0; then every node is its
+    own class and every edge its own pair, in edge_arrays order, and each
+    layer draws one (K, pairs, hidden_dim) block, kernel after kernel.
     """
     cfg = model.cfg
     if batch.feature_dim != model.feature_dim:
@@ -591,27 +583,21 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
     leaves = dict(model.store.items()) if leaves is None else leaves
     x = lmath.embed(plan.features, kappa)
     for i, (roots, neighbors, edges, counts, _) in enumerate(plan.layer_edges):
-        drop_masks = None
+        drop_mask = None
         if dropout:
-            keep = 1.0 - cfg.dropout
-            drop_masks = [
-                _drop_mask(rng.random((plan.num_edges, cfg.hidden_dim)), keep)
-                for _ in range(cfg.K)
-            ]
+            draw = rng.random((cfg.K, len(roots), cfg.hidden_dim))
+            drop_mask = _drop_mask(draw, 1.0 - cfg.dropout).transpose(1, 0, 2)
         x = layers.hkconv_core(
             x,
             roots,
             neighbors,
             edges,
             counts,
-            [
-                tuple(leaves[_param_path(i, k, name)] for name in layers.PARAM_NAMES)
-                for k in range(cfg.K)
-            ],
+            tuple(leaves[f"layer{i}.{name}"] for name in layers.PARAM_NAMES),
             model.layer_kernels[i].coords_array(),
             cfg.pooling_weights,
             kappa,
-            drop_masks,
+            drop_mask,
         )
 
     if cfg.task == "graph":
@@ -846,7 +832,8 @@ def write_sweep_csv(rows, path) -> None:
 # checkpoints
 
 
-_CHECKPOINT_FORMAT = "hkn-checkpoint-v1"
+# v2 stacks each conv layer's K kernels (_init_store); v1 had a leaf per kernel
+_CHECKPOINT_FORMAT = "hkn-checkpoint-v2"
 _CHECKPOINT_FIELDS = {
     "config": dict,
     "feature_dim": int,
@@ -894,14 +881,10 @@ def load_checkpoint(path) -> tuple:
     JSON types where present, and the data block holds DataConfig keys
     only. Anything else raises DataFormatError naming the field.
     """
-    try:
-        record = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise DataFormatError("checkpoint must be a JSON object")
+    record = read_json(path, "checkpoint")
     if record.get("format") != _CHECKPOINT_FORMAT:
-        raise DataFormatError("unrecognized checkpoint format")
+        found = record.get("format")
+        raise DataFormatError(f"checkpoint format {found!r} is not {_CHECKPOINT_FORMAT!r}")
     for key, kind in _CHECKPOINT_FIELDS.items():
         if key not in record:
             raise DataFormatError(f"checkpoint missing field {key!r}")
@@ -936,6 +919,12 @@ def load_checkpoint(path) -> tuple:
     feature_dim, num_classes = record["feature_dim"], record["num_classes"]
     if feature_dim < 1 or num_classes < 2:
         raise DataFormatError("checkpoint needs feature_dim >= 1 and num_classes >= 2")
+    # the store takes the declared sizes: the kernel sets bound its widths
+    head = record["params"].get("head.centroids")
+    if not isinstance(head, list) or len(head) != num_classes:
+        raise DataFormatError(
+            f"checkpoint field 'num_classes' is {num_classes}, not the head's row count"
+        )
     if len(record["kernels"]) != cfg.layers:
         raise DataFormatError(f"checkpoint field 'kernels' must hold {cfg.layers} kernel sets")
     layer_kernels = []

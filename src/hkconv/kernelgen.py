@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     ParameterError,
     SolverFailureError,
+    read_json,
 )
 
 # ceiling on the starting ring's loss: above it the ring is too tight to place
@@ -393,11 +394,7 @@ def kernels_from_dict(data: dict) -> KernelSet:
 
 
 def load_kernels(path) -> KernelSet:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"kernel file is not valid JSON: {exc}") from exc
-    return kernels_from_dict(data)
+    return kernels_from_dict(read_json(path, "kernel file"))
 
 
 def export_poincare_csv(kernels: KernelSet, points_path, geodesics_path, steps: int = 64) -> None:

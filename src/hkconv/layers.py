@@ -5,7 +5,9 @@ The building blocks:
 * feature transform: a gated linear map whose output is re-lifted onto the
   manifold by solving for the time coordinate (so no projection step and no
   tangent-space detour is needed); _gate_maps and _gates compute K of them
-  at once for the conv layer's node, and one for hlinear_core,
+  at once for the conv layer's node, and one for hlinear_core. A conv
+  layer holds each HLinearParams field stacked over its K kernels
+  (PARAM_NAMES), for its node, an HKN's store and its checkpoints,
 * weighted centroid: a Lorentz-norm normalized weighted sum, the
   aggregation used everywhere points must be combined,
 * centroid-distance readout: distances to a bank of reference points,
@@ -88,8 +90,8 @@ class HLinearParams:
     gate_bias  scalar offset of the gate
     log_scale  log of the positive gate amplitude
 
-    The fields, in this order, are the per-kernel parameter layout
-    (PARAM_NAMES).
+    The fields, in this order, are PARAM_NAMES; a conv layer stacks each
+    over its K kernels.
     """
 
     weight: np.ndarray
@@ -125,12 +127,13 @@ class HLinearParams:
         return self.weight.shape[0]
 
     def values(self) -> tuple:
-        """The fields in PARAM_NAMES order, as _edge_points takes them."""
+        """The fields in PARAM_NAMES order, as hlinear_core takes them."""
         return tuple(getattr(self, name) for name in PARAM_NAMES)
 
 
-# per-kernel parameter layout: the order of the tuples hkconv_core takes and
-# the leaf names layer{i}.k{k}.<name> of an HKN parameter store
+# a conv layer's parameters, each stacked over its K kernels (weight (K,
+# out_dim, in_dim+1), ..., log_scale (K,)): the tuple hkconv_core takes
+# and the leaves layer{i}.<name> of an HKN parameter store
 PARAM_NAMES = tuple(f.name for f in fields(HLinearParams))
 
 
@@ -163,7 +166,7 @@ def hlinear_core(x, weight, gate_vec, bias, gate_bias, log_scale, kappa: float):
     rows = x.reshape(-1, x.shape[-1])
     lifted = _with_ones(len(rows), W)
     lifted[:, :W] = rows
-    maps = _gate_maps([weight], [gate_vec], [bias], [gate_bias])
+    maps = _gate_maps(*(np.asarray(p)[None] for p in (weight, gate_vec, bias, gate_bias)))
     u, norm, gate, _ = _gates(lifted @ maps, 1, D, np.exp(log_scale))
     out = np.empty((len(lifted), D + 1))
     out[:, :1] = np.sqrt(gate * gate - 1.0 / kappa)
@@ -227,27 +230,11 @@ class CentroidBank:
         return np.stack([c.coords for c in self.centroids])
 
 
-def _row_classes(rows: np.ndarray):
-    """Compact class ids of the rows of a nonempty 2-D integer array,
-    equal exactly when the rows are -> (ids, count). The ids number the
-    distinct rows in lexicographic order (last column first), so they
-    depend on the rows' contents alone, never on their positions. Float
-    rows read through a uint64 view are ranked by their bytes, so -0.0
-    and 0.0 differ."""
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    return ids, int(np.count_nonzero(starts))
-
-
 def _byte_order(rows: np.ndarray) -> np.ndarray:
     """Positions of float rows in the order of their bytes: the sequence
-    of rows it gives is the same however the rows were ordered."""
-    return np.argsort(_row_classes(rows.view(np.uint64))[0])
+    of rows it gives is the same however the rows were ordered, since rows
+    with equal bytes are interchangeable."""
+    return np.lexsort(rows.view(np.uint64).T)
 
 
 def hcent_core(points, weights, counts, kappa: float):
@@ -365,20 +352,19 @@ def _lanes(columns: int) -> int:
     return -(-columns // _LANES) * _LANES
 
 
-def _gate_maps(weights, gate_vecs, biases, gate_biases, extra=None) -> np.ndarray:
-    """The (in_dim+2, columns) parameter matrix of K gated transforms: its
+def _gate_maps(weight, gate_vec, bias, gate_bias, extra=None) -> np.ndarray:
+    """The (in_dim+2, columns) matrix of K stacked gated transforms: its
     product with rows that end in a ones column gives the K affine maps,
     the K gate logits and then the columns of extra (in_dim+1, m), biases
     included through its last row. Zero columns widen it to _lanes."""
-    K = len(weights)
-    D, W = weights[0].shape
+    K, D, W = weight.shape
     cols = K * (D + 1)
     extra = np.zeros((W, 0)) if extra is None else extra
     maps = np.zeros((W + 1, _lanes(cols + extra.shape[1])))
-    maps[:W, : K * D] = np.concatenate(weights).T
-    maps[W, : K * D] = np.concatenate(biases)
-    maps[:W, K * D : cols] = np.stack(gate_vecs, axis=1)
-    maps[W, K * D : cols] = gate_biases
+    maps[:W, : K * D] = weight.reshape(K * D, W).T
+    maps[W, : K * D] = bias.reshape(K * D)
+    maps[:W, K * D : cols] = gate_vec.T
+    maps[W, K * D : cols] = gate_bias
     maps[:W, cols : cols + extra.shape[1]] = extra
     return maps
 
@@ -406,21 +392,25 @@ def _gates(product, K: int, D: int, amplitude, mask=None):
 def _edge_points(
     center_rows,
     neighbor_rows,
-    sublayers,
+    params,
     kernel_rows,
     kappa: float,
-    drop_masks=None,
+    drop_mask=None,
 ):
     """Per-edge kernel aggregation -> (E, out_dim+1) points on the manifold,
-    one tape node for all K kernels.
+    one tape node for all K kernels, with seven inputs: the neighbor and
+    root rows and the layer's five stacked parameters.
 
-    center_rows / neighbor_rows (E, in_dim+1) rows; sublayers K tuples in
-    PARAM_NAMES order; kernel_rows (K, in_dim+1) constant kernel
-    coordinates. Each neighbor is recentered at its root by the boost that
-    carries the root to the origin (lmath._boost, the map of lmath.ominus)
-    and compared against the kernels where they live, around the origin.
-    The K gated transforms, weighted by kernel distance, are summed and the
-    sum is normalized onto the manifold (lmath._normalized).
+    center_rows / neighbor_rows (E, in_dim+1) rows; params the layer's
+    parameters in PARAM_NAMES order, each stacked over the K kernels;
+    kernel_rows (K, in_dim+1) constant kernel coordinates; drop_mask an
+    optional pre-scaled (E, K, out_dim) dropout mask on the K
+    pre-normalization vectors. Each neighbor is recentered at its root by
+    the boost that carries the root to the origin (lmath._boost, the map
+    of lmath.ominus) and compared against the kernels where they live,
+    around the origin. The K gated transforms, weighted by kernel
+    distance, are summed and the sum is normalized onto the manifold
+    (lmath._normalized).
 
     The forward walks tiles of at most TILE_ROWS rows and holds a tile's K
     kernels as one stacked (rows, K, out_dim) array. One product of the
@@ -443,31 +433,30 @@ def _edge_points(
     rows' adjoint, which the boost's adjoint carries to the root and
     neighbor rows, and one product per kernel with the recentred rows the
     adjoints of the weights and biases (the ones column gives the biases),
-    summed over the tiles. The recentred rows' adjoint, and the kernel
+    summed over the tiles, whose slices are the stacked parameters'
+    adjoints. The recentred rows' adjoint, and the kernel
     terms only it needs, are computed, and the per-row scalars they read
     kept, only when the root or neighbor rows are recorded (not in the
     first conv layer).
     """
     kernel_rows = ad.value_of(kernel_rows)
     K = kernel_rows.shape[0]
-    if len(sublayers) != K:
-        raise DimensionError(f"{len(sublayers)} sublayers for {K} kernel points")
-    n = len(PARAM_NAMES)
-    mask = None if drop_masks is None else np.stack(drop_masks, axis=1)
-    inputs = (neighbor_rows, center_rows) + tuple(p for params in sublayers for p in params)
+    found = len(ad.value_of(params[0])) if params else 0
+    if found != K:
+        raise DimensionError(f"{found} kernel transforms for {K} kernel points")
+    inputs = (neighbor_rows, center_rows, *params)
     recording = any(isinstance(v, ad.Tensor) for v in inputs)
     # the boost's a and shift and the kernels' acosh arguments z feed only
     # the recentred rows' adjoint
     need_rows = isinstance(neighbor_rows, ad.Tensor) or isinstance(center_rows, ad.Tensor)
     metric = lmath.metric_row(kernel_rows.shape[1] - 1)
 
-    def forward(nbr, ctr, *values):
-        weights, gate_vecs, biases, gate_biases, log_scales = (values[j::n] for j in range(n))
-        D, W = weights[0].shape
+    def forward(nbr, ctr, weight, gate_vec, bias, gate_bias, log_scale):
+        _, D, W = weight.shape
         KD = K * D
         # the kernel inner products follow the K affine maps and gate logits
-        maps = _gate_maps(weights, gate_vecs, biases, gate_biases, (kernel_rows * metric).T)
-        amplitude = np.exp(np.asarray(log_scales, dtype=np.float64))
+        maps = _gate_maps(weight, gate_vec, bias, gate_bias, (kernel_rows * metric).T)
+        amplitude = np.exp(log_scale)
         tiles = _tiles(len(nbr))
         longest = -(-len(nbr) // len(tiles))
         lifted = _with_ones(longest, W)
@@ -481,7 +470,7 @@ def _edge_points(
             x = lifted[: len(feats)]
             x[:, :W] = feats
             product = np.matmul(x, maps, out=products[rows] if recording else products[: len(x)])
-            tile_mask = None if mask is None else mask[rows]
+            tile_mask = None if drop_mask is None else drop_mask[rows]
             u, norm, gate, sig = _gates(product, K, D, amplitude, tile_mask)
             z = np.maximum(kappa * product[:, KD + K : KD + 2 * K], 1.0)
             nu = np.arccosh(z) / math.sqrt(-kappa)
@@ -493,10 +482,10 @@ def _edge_points(
             if recording:
                 rest = (z, a, shift) if need_rows else None
                 kept.append((rows, c, u, norm, gate, sig, nu, normal, rest))
-        return points, (nbr, ctr, values, maps, points, kept)
+        return points, (nbr, ctr, maps, points, kept)
 
     def backward(g, saved, needs):
-        nbr, ctr, values, maps, points, kept = saved
+        nbr, ctr, maps, points, kept = saved
         D, W = g.shape[1] - 1, nbr.shape[1]
         KD = K * D
         lifted = _with_ones(-(-len(nbr) // len(kept)), W)
@@ -524,8 +513,8 @@ def _edge_points(
             np.multiply(u, (-along / (norm * norm))[..., None], out=g_u)
             g_u += g_spatial[:, None, :]
             g_u *= (nu * gate / norm)[..., None]
-            if mask is not None:
-                g_u *= mask[rows]
+            if drop_mask is not None:
+                g_u *= drop_mask[rows]
             tile[:, KD : KD + K] = g_gate * gate * (1.0 - sig)
             x = lifted[: len(norm)]
             x[:, :W] = lmath._boosted(nbr[rows], ctr[rows], c, kappa)
@@ -546,16 +535,14 @@ def _edge_points(
                 for full, part in zip(grads, parts):
                     if full is not None:
                         full[rows] = part
-        for k in range(K):
-            _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
-            grads += [
-                g_maps[k * D : (k + 1) * D, :W],
-                g_maps[KD + k, :W].reshape(gate_vec.shape),
-                g_maps[k * D : (k + 1) * D, W].reshape(bias.shape),
-                g_maps[KD + k, W].reshape(np.shape(gate_bias)),
-                g_scales[k].reshape(np.shape(log_scale)),
-            ]
-        return tuple(grads)
+        return (
+            *grads,
+            g_maps[:KD, :W].reshape(K, D, W),
+            g_maps[KD:, :W],
+            g_maps[:KD, W].reshape(K, D),
+            g_maps[KD:, W],
+            g_scales,
+        )
 
     return ad._lift("edge_points", inputs, forward, backward)
 
@@ -585,11 +572,11 @@ def hkconv_core(
     neighbors: np.ndarray,
     edges: np.ndarray,
     counts,
-    sublayers,
+    params,
     kernel_rows,
     pooling_weights: str,
     kappa: float,
-    drop_masks=None,
+    drop_mask=None,
 ):
     """Batched kernel-point convolution over flattened neighborhoods.
 
@@ -601,10 +588,10 @@ def hkconv_core(
                        edges[e]; the edges come grouped by segment,
                        segment i being the next counts[i] >= 1
     counts             edges per output row
-    sublayers          per-kernel tuples in PARAM_NAMES order (weight,
-                       gate_vec, bias, gate_bias, log_scale)
+    params             the layer's parameters in PARAM_NAMES order, each
+                       stacked over the K kernels
     kernel_rows        (K, in_dim+1) kernel coordinates
-    drop_masks         optional per-kernel (P, out_dim) dropout masks
+    drop_mask          optional (P, K, out_dim) dropout mask
 
     Returns (len(counts), out_dim+1): one pooled point per segment. The
     per-pair points come from one _edge_points node; the row gathers, the
@@ -616,7 +603,7 @@ def hkconv_core(
     caller fixes the bits by the order of the edges.
     """
     center_rows, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
-    points = _edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks)
+    points = _edge_points(center_rows, neighbor_rows, params, kernel_rows, kappa, drop_mask)
     w = None
     if pooling_weights == "attention":
         d = ad.take(lmath.dist(center_rows, neighbor_rows, kappa), edges)
@@ -646,7 +633,7 @@ def hkconv(x: manifold.LorentzPoint, neighbors, p: HKConvParams) -> manifold.Lor
         np.arange(1, E + 1),
         np.arange(E),
         [E],
-        [s.values() for s in p.sublayers],
+        tuple(np.stack(field) for field in zip(*(s.values() for s in p.sublayers))),
         p.kernels.coords_array(),
         p.pooling_weights,
         x.cfg.curvature,

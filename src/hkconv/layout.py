@@ -16,8 +16,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import layers
-
 
 def edge_arrays(batch):
     """Directed adjacency (src, dst) with self-entries for isolated nodes,
@@ -31,6 +29,23 @@ def edge_arrays(batch):
         dst = selfs.copy()
     order = np.lexsort((src, dst))
     return src[order], dst[order]
+
+
+def _row_classes(rows: np.ndarray):
+    """Compact class ids of the rows of a nonempty 2-D integer array,
+    equal exactly when the rows are -> (ids, count). The ids number the
+    distinct rows in lexicographic order (last column first), so they
+    depend on the rows' contents alone, never on their positions. Float
+    rows read through a uint64 view are ranked by their bytes, so -0.0
+    and 0.0 differ."""
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, int(np.count_nonzero(starts))
 
 
 def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
@@ -62,7 +77,7 @@ def _refine(labels: np.ndarray, count: int, src: np.ndarray, dst: np.ndarray):
         keys = np.empty((nodes.size, d + 1), dtype=dtype)
         keys[:, 0] = labels[nodes]
         keys[:, 1:] = neighbor_labels[first[nodes, None] + np.arange(d)]
-        ids, found = layers._row_classes(keys)
+        ids, found = _row_classes(keys)
         out[nodes] = total + ids
         total += found
     return out, total, neighbor_labels
@@ -116,7 +131,7 @@ def _class_layers(features, src, dst, depth: int, distinct: bool):
         labels, count = np.arange(n), n
     else:
         # feature rows are told apart by their bytes, so -0.0 and 0.0 differ
-        labels, count = layers._row_classes(features.view(np.uint64))
+        labels, count = _row_classes(features.view(np.uint64))
     feature_rows = _representatives(labels, count)
     layer_edges = []
     for _ in range(depth):
@@ -143,8 +158,8 @@ class Layout:
     after the last layer. For a graph task, pooled lists each graph's
     class rows, graph after graph, in ascending class order, and
     graph_counts how many rows each graph has; both are None for a node
-    task. num_edges counts the directed edges of edge_arrays, one dropout
-    mask row each.
+    task. In the distinct (dropout) layout every layer's pairs are the
+    directed edges of edge_arrays, one dropout mask row each.
     """
 
     features: np.ndarray
@@ -152,7 +167,6 @@ class Layout:
     labels: np.ndarray
     pooled: np.ndarray | None
     graph_counts: np.ndarray | None
-    num_edges: int
 
     def __post_init__(self):
         entries = [getattr(self, f.name) for f in fields(self)]
@@ -171,6 +185,4 @@ def prepare(batch, depth: int, distinct: bool) -> Layout:
         count = layer_edges[-1][-1]
         pooled = np.sort(batch.graph_ids * count + labels) % count
         graph_counts = np.bincount(batch.graph_ids)
-    return Layout(
-        batch.features[feature_rows], tuple(layer_edges), labels, pooled, graph_counts, src.size
-    )
+    return Layout(batch.features[feature_rows], tuple(layer_edges), labels, pooled, graph_counts)

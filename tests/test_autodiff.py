@@ -9,7 +9,8 @@ import pytest
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
-from hkconv import invariants, layers, lmath
+from hkconv import invariants, lmath
+from hkconv import layout as lo
 from hkconv.errors import BuildError, DimensionError, NumericError
 
 
@@ -358,7 +359,7 @@ class TestSegmentSum:
         values[rng.random(values.shape) < 0.1] = -0.0
 
         def byte_ordered(vals, run_ids):
-            ranks = layers._row_classes(vals.view(np.uint64))[0]
+            ranks = lo._row_classes(vals.view(np.uint64))[0]
             return vals[np.lexsort((ranks, run_ids))]
 
         base = ad.segment_sum(byte_ordered(values, runs), counts)

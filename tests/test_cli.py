@@ -34,6 +34,18 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _as_v1(record):
+    """A checkpoint record in the v1 layout: one leaf per kernel and field."""
+    params = {}
+    for path, value in record["params"].items():
+        if path.startswith("layer"):
+            layer, name = path.split(".")
+            params.update({f"{layer}.k{k}.{name}": v for k, v in enumerate(value)})
+        else:
+            params[path] = value
+    return {**record, "format": "hkn-checkpoint-v1", "params": params}
+
+
 class TestKernelGenCommand:
     def test_two_point_run_writes_all_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -411,14 +423,14 @@ class TestTrainEvalSweep:
             pytest.param(
                 lambda r: {
                     **r,
-                    "params": {k: v for k, v in r["params"].items() if k != "layer1.k0.bias"},
+                    "params": {k: v for k, v in r["params"].items() if k != "layer1.bias"},
                 },
-                "'layer1.k0.bias'",
+                "'layer1.bias'",
                 id="missing-leaf",
             ),
             pytest.param(
-                lambda r: {**r, "params": {**r["params"], "layer0.k4.bias": [0.0]}},
-                "'layer0.k4.bias'",
+                lambda r: {**r, "params": {**r["params"], "layer2.bias": [[0.0] * 4] * 4}},
+                "'layer2.bias'",
                 id="extra-leaf",
             ),
             pytest.param(
@@ -426,15 +438,15 @@ class TestTrainEvalSweep:
                     **r,
                     "params": {
                         **r["params"],
-                        "layer0.k0.weight": r["params"]["layer0.k0.weight"][:-1],
+                        "layer0.weight": [w[:-1] for w in r["params"]["layer0.weight"]],
                     },
                 },
-                "'layer0.k0.weight'",
+                "'layer0.weight'",
                 id="misshaped-leaf",
             ),
             pytest.param(
-                lambda r: {**r, "params": {**r["params"], "layer1.k2.bias": [None] * 4}},
-                "'layer1.k2.bias'",
+                lambda r: {**r, "params": {**r["params"], "layer1.bias": [[None] * 4] * 4}},
+                "'layer1.bias'",
                 id="null-leaf",
             ),
             pytest.param(lambda r: {**r, "info": {"data": 5}}, "'info.data'", id="info-data"),
@@ -453,6 +465,10 @@ class TestTrainEvalSweep:
                 "'n_graph'",
                 id="info-data-key",
             ),
+            # a head of 10**12 classes would need 116 TiB: the declared size
+            # is checked against the head's rows before the store is built
+            pytest.param(lambda r: {**r, "num_classes": 10**12}, "'num_classes'", id="num-classes"),
+            pytest.param(_as_v1, "'hkn-checkpoint-v1'", id="format-v1"),
         ],
     )
     def test_malformed_checkpoint_is_one_line_failure(self, tmp_path, capsys, damage, named):
@@ -470,6 +486,26 @@ class TestTrainEvalSweep:
         assert err[0].startswith("failure: checkpoint")
         assert named in err[0]
         assert main(["eval", "--checkpoint", str(good), "--out", str(tmp_path / "g")]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, code, named",
+        [
+            (["eval", "--checkpoint"], 1, "failure: checkpoint"),
+            (["train", *_SMALL_TRAIN, "--kernel"], 1, "failure: kernel file"),
+            (["train", *_SMALL_TRAIN, "--config"], 2, "config file"),
+            (["train", *_SMALL_TRAIN, "--data"], 1, "failure: dataset"),
+        ],
+        ids=("checkpoint", "kernels", "config", "dataset"),
+    )
+    def test_a_file_that_is_not_utf8_is_one_line_failure(self, tmp_path, capsys, argv, code, named):
+        # a UTF-16 byte-order mark: no reader may decode it as UTF-8
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert named in err[0] and "UTF-8" in err[0]
 
     def test_features_beyond_embedding_range_are_one_line_failure(self, tmp_path, capsys):
         data = graphnet.synth_trees_vs_random(20, 8, 1)

@@ -2,6 +2,7 @@
 loop, and checkpoint serialization."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -321,6 +322,36 @@ class TestMetrics:
 
 
 class TestModelAssembly:
+    @pytest.mark.parametrize(
+        "cfg, feature_dim",
+        (
+            (gn.HKNConfig(), 9),
+            (gn.HKNConfig(K=8, pooling_weights="attention", task="node"), 4),
+            (gn.HKNConfig(layers=3, K=3, hidden_dim=5), 2),
+        ),
+        ids=("graph-default", "node-attention", "three-layers"),
+    )
+    def test_store_holds_five_stacked_leaves_per_conv_layer(self, cfg, feature_dim):
+        # each conv layer's K kernels share one leaf per PARAM_NAMES field,
+        # and the head adds one: 11 leaves for both benchmark models
+        model = gn.build_hkn(cfg, feature_dim=feature_dim, num_classes=3)
+        K, D = cfg.K, cfg.hidden_dim
+        want = {}
+        for i in range(cfg.layers):
+            W = (feature_dim if i == 0 else D) + 1
+            shapes = ((K, D, W), (K, W), (K, D), (K,), (K,))
+            want.update({f"layer{i}.{n}": s for n, s in zip(layers.PARAM_NAMES, shapes)})
+        want["head.centroids"] = (3, D)
+        assert {p: v.shape for p, v in model.store.items()} == want
+        assert len(want) == 5 * cfg.layers + 1
+        # kernel k's slices are the transform init_hlinear draws k-th
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        for i in range(cfg.layers):
+            for k in range(K):
+                drawn = layers.init_hlinear(rng, model.layer_kernels[i].cfg.dim, D)
+                for name, value in zip(layers.PARAM_NAMES, drawn.values()):
+                    _assert_bits(model.store[f"layer{i}.{name}"][k], np.asarray(value))
+
     def test_graph_task_emits_one_logit_row_per_graph(self):
         feats = np.ones((3, 2))
         triangle = gn.GraphBatch(
@@ -426,7 +457,7 @@ class TestModelAssembly:
                 env=env, capture_output=True, text=True, check=True,
             )
             digests.append(done.stdout.splitlines())
-        assert len(digests[0]) == 41 + 81
+        assert len(digests[0]) == 11 + 11
         assert digests[0] == digests[1]
 
     def test_gradient_pass_and_forward_memory_peaks(self):
@@ -519,7 +550,7 @@ def _refinements(features, src, dst, depth):
     """(graphnet's, the reference's) classes at depths 0..depth."""
     feature_keys = {}
     want = [[feature_keys.setdefault(row.tobytes(), len(feature_keys)) for row in features]]
-    got = [layers._row_classes(features.view(np.uint64))]
+    got = [lo._row_classes(features.view(np.uint64))]
     for _ in range(depth):
         want.append(_reference_classes(want[-1], src, dst))
         got.append(lo._refine(*got[-1], src, dst)[:2])
@@ -580,7 +611,8 @@ def _per_node_logits(model, batch, leaves, training=False, rng=None):
     depth (graphnet's classes, as _refinements gives them), then each
     graph's nodes in ascending order of their last class. With dropout
     every node is its own class, so edges pool in edge_arrays order and
-    nodes in node order."""
+    nodes in node order, and the masks are drawn per kernel, one (edges,
+    hidden_dim) draw after another, and stacked."""
     cfg, kappa = model.cfg, model.cfg.curvature
     src, dst = gn.edge_arrays(batch)
     if training and cfg.dropout > 0.0:
@@ -590,22 +622,20 @@ def _per_node_logits(model, batch, leaves, training=False, rng=None):
     degree = np.bincount(dst)
     x = lmath.embed(batch.features, kappa)
     for i in range(cfg.layers):
-        masks = None
+        mask = None
         if training and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             masks = [(rng.random((len(src), cfg.hidden_dim)) < keep) / keep for _ in range(cfg.K)]
             for m in masks:  # a row that drops every entry keeps them all
                 m[np.all(m == 0.0, axis=1)] = 1.0 / keep
+            mask = np.stack(masks, axis=1)
         order = np.lexsort((classes[i][src], dst))
-        if masks is not None:
-            masks = [m[order] for m in masks]
-        subs = [
-            tuple(leaves[f"layer{i}.k{k}.{name}"] for name in layers.PARAM_NAMES)
-            for k in range(cfg.K)
-        ]
+        if mask is not None:
+            mask = mask[order]
+        params = tuple(leaves[f"layer{i}.{name}"] for name in layers.PARAM_NAMES)
         centers, neighbors = ad.take(x, dst[order]), ad.take(x, src[order])
         kernel_rows = model.layer_kernels[i].coords_array()
-        points = layers._edge_points(centers, neighbors, subs, kernel_rows, kappa, masks)
+        points = layers._edge_points(centers, neighbors, params, kernel_rows, kappa, mask)
         w = None
         if cfg.pooling_weights == "attention":
             d = lmath.dist(centers, neighbors, kappa)
@@ -615,6 +645,18 @@ def _per_node_logits(model, batch, leaves, training=False, rng=None):
         nodes = np.lexsort((classes[-1], batch.graph_ids))
         x = layers.hcent_core(ad.take(x, nodes), None, np.bincount(batch.graph_ids), kappa)
     return -lmath.cross_dist(x, lmath.embed(leaves["head.centroids"], kappa), kappa)
+
+
+def _kernel_slices(grads):
+    """Every adjoint by (path, kernel): a conv layer's stacked leaf split
+    along its kernel axis, the head's whole under kernel None."""
+    out = {}
+    for path, g in grads.items():
+        if path.startswith("layer"):
+            out.update({(path, k): g[k] for k in range(len(g))})
+        else:
+            out[path, None] = g
+    return out
 
 
 class TestStructuralClasses:
@@ -654,13 +696,13 @@ class TestStructuralClasses:
         kinds = {1: 0, 2: 0, 3: 1, 5: 1, 6: 0, 7: 0, 9: 0, 10: 1, 11: 1, 13: 1, 14: 0, 15: 1}
         features = np.eye(3)[[2 if v in hubs else kinds[v] for v in range(16)]]
         batch = gn.GraphBatch(features, edges, np.zeros(1), graph_ids=np.zeros(16, int))
-        classes = layers._row_classes(features.view(np.uint64))
+        classes = lo._row_classes(features.view(np.uint64))
         labels = lo._refine(*classes, *gn.edge_arrays(batch))[0]
         assert labels[0] == labels[4] and labels[8] == labels[12] and labels[0] != labels[8]
 
     def test_signed_zero_features_are_distinct_classes(self):
         features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        labels, count = layers._row_classes(features.view(np.uint64))
+        labels, count = lo._row_classes(features.view(np.uint64))
         assert count == 2 and labels[0] == labels[2] != labels[1]
 
     def test_hub_keys_take_memory_linear_in_the_edges(self):
@@ -674,7 +716,7 @@ class TestStructuralClasses:
             graph_ids=np.zeros(n, int),
         )
         src, dst = gn.edge_arrays(batch)
-        labels, count = layers._row_classes(batch.features.view(np.uint64))
+        labels, count = lo._row_classes(batch.features.view(np.uint64))
         tracemalloc.start()
         try:
             refined, refined_count, _ = lo._refine(labels, count, src, dst)
@@ -712,7 +754,7 @@ class TestStructuralClasses:
         data = gn.GraphBatch(
             data.features + noise, data.edges, data.labels, graph_ids=data.graph_ids
         )
-        assert layers._row_classes(data.features.view(np.uint64))[1] == data.num_nodes
+        assert lo._row_classes(data.features.view(np.uint64))[1] == data.num_nodes
         perm = np.random.default_rng(7).permutation(data.num_nodes)
         inv = np.argsort(perm)
         moved = gn.GraphBatch(
@@ -743,17 +785,17 @@ class TestStructuralClasses:
 
             return run
 
-        got_grads = ad.grad(loss(gn.forward_logits), model.store)
-        want_grads = ad.grad(loss(_per_node_logits), model.store)
+        got_grads = _kernel_slices(ad.grad(loss(gn.forward_logits), model.store))
+        want_grads = _kernel_slices(ad.grad(loss(_per_node_logits), model.store))
         _assert_bits(recorded[gn.forward_logits], recorded[_per_node_logits])
         largest = max(np.max(np.abs(g)) for g in want_grads.values())
-        for path, g in want_grads.items():
+        for (path, k), g in want_grads.items():
             scale = np.max(np.abs(g))
             if suite == "constant" and path.startswith("layer0."):
                 # the second layer recentres equal rows to the origin, so the
                 # first layer's exact gradient is zero
                 scale = largest
-            assert np.max(np.abs(got_grads[path] - g)) <= 1e-12 * scale, path
+            assert np.max(np.abs(got_grads[path, k] - g)) <= 1e-12 * scale, (path, k)
 
 
 def _bench_checks():
@@ -801,7 +843,9 @@ class TestKeptLayout:
         gn.evaluate(dropped, data, "test")
         assert calls == {"edge_arrays": 2, "_class_layers": 2}
         assert data.class_layout(2, True) is not data.class_layout(2, False)
-        assert data.class_layout(2, False).num_edges == data.class_layout(2, True).num_edges
+        # in the dropout layout every layer's pairs are the directed edges
+        edges = len(gn.edge_arrays(data)[0])
+        assert [len(pairs[0]) for pairs in data.class_layout(2, True).layer_edges] == [edges] * 2
         gn.evaluate(_tiny_model(data, layers=3), data, "test")
         assert calls == {"edge_arrays": 3, "_class_layers": 3}
         gn.evaluate(plain, gn.GraphBatch(data.features, data.edges, data.labels, data.graph_ids), "test")
@@ -851,7 +895,7 @@ class TestKeptLayout:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.num_edges = 0
+            plan.labels = None
 
     @pytest.mark.parametrize("suite", ("criterion9", "class_tree", "distinct", "dropout"))
     def test_kept_layout_matches_a_fresh_batch_bitwise(self, suite):
@@ -879,6 +923,38 @@ class TestKeptLayout:
 
 
 class TestTraining:
+    def test_dropout_masks_and_history_keep_their_bits(self, monkeypatch):
+        # criterion 9's suite, K = 3, dropout 0.3: each layer draws one
+        # (K, pairs, hidden) block, which holds the numbers of K (pairs,
+        # hidden) draws in sequence and leaves the generator where they do;
+        # the digests were recorded with NumPy on x86-64 when every kernel
+        # drew its own mask
+        data = gn.synth_trees_vs_random(200, 16, seed=0)
+        model = gn.build_hkn(gn.HKNConfig(K=3, dropout=0.3), feature_dim=9, num_classes=2)
+        masks = []
+        inner = layers._edge_points
+
+        def spy(*args):
+            masks.append(np.ascontiguousarray(args[5]))
+            return inner(*args)
+
+        monkeypatch.setattr(layers, "_edge_points", spy)
+        rng = np.random.Generator(np.random.Philox(key=7))
+        gn.forward_logits(model, data, training=True, rng=rng)
+        monkeypatch.undo()
+        again = np.random.Generator(np.random.Philox(key=7))
+        for mask in masks:
+            draws = [again.random((len(mask), 16)) for _ in range(3)]
+            want = np.stack([gn._drop_mask(d, 0.7) for d in draws], axis=1)
+            _assert_bits(mask, want)
+        _assert_bits(rng.random(8), again.random(8))  # the generator is where they leave it
+        assert [m.shape for m in masks] == [(7872, 3, 16)] * 2
+        digest = hashlib.sha256(b"".join(m.tobytes() for m in masks)).hexdigest()
+        assert digest == "488052101c65ba765e97ea3e286139eba2b9236cebc699dcb1c1c1bbe4c0424f"
+        history = gn.train(model, data, gn.TrainConfig(max_epochs=5)).history
+        digest = hashlib.sha256(repr(history).encode()).hexdigest()
+        assert digest == "b80d6cbbf8896eb3f79e12a05b8d426c505251cd9b1c88b2fb3362d0369f07e7"
+
     def test_epoch_zero_loss_is_log_num_classes(self):
         batch = _small_batch()
         model = gn.build_hkn(gn.HKNConfig(), feature_dim=9, num_classes=2)
@@ -1107,9 +1183,8 @@ class TestCheckpointsAndCSV:
         layout = {}
         for i in range(cfg.layers):
             typed = layers.init_hlinear(rng, 4 if i == 0 else 5, 5)
-            for k in range(cfg.K):
-                for name, value in zip(layers.PARAM_NAMES, typed.values()):
-                    layout[f"layer{i}.k{k}.{name}"] = np.shape(value)
+            for name, value in zip(layers.PARAM_NAMES, typed.values()):
+                layout[f"layer{i}.{name}"] = (cfg.K, *np.shape(value))
         layout["head.centroids"] = (3, 5)
         assert model.store.paths() == list(layout)
         assert {p: v.shape for p, v in model.store.items()} == layout
@@ -1129,6 +1204,37 @@ class TestCheckpointsAndCSV:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(DataFormatError):
+            gn.load_checkpoint(path)
+
+    def test_v2_checkpoint_holds_the_stacked_leaves_and_reloads_bitwise(self, tmp_path):
+        batch = _small_batch()
+        model = gn.build_hkn(gn.HKNConfig(), feature_dim=9, num_classes=2)
+        gn.train(model, batch, gn.TrainConfig(max_epochs=3))
+        path = tmp_path / "checkpoint.json"
+        gn.save_checkpoint(model, path)
+        record = json.loads(path.read_text())
+        assert record["format"] == "hkn-checkpoint-v2"
+        assert list(record["params"]) == model.store.paths()
+        assert len(record["params"]) == 11
+        back, _ = gn.load_checkpoint(path)
+        for p, value in model.store.items():
+            _assert_bits(back.store[p], value)
+        _assert_bits(np.asarray(gn.forward_logits(back, batch)), np.asarray(gn.forward_logits(model, batch)))
+
+    def test_v1_checkpoint_is_refused_naming_its_format(self, tmp_path):
+        # v1 held one leaf per kernel and field (layer{i}.k{k}.<name>); no
+        # reader of it is kept
+        model = gn.build_hkn(gn.HKNConfig(K=2, hidden_dim=4), feature_dim=9, num_classes=2)
+        path = tmp_path / "checkpoint.json"
+        gn.save_checkpoint(model, path)
+        record = json.loads(path.read_text())
+        params = {"head.centroids": record["params"]["head.centroids"]}
+        for i in range(2):
+            for k in range(2):
+                for name in layers.PARAM_NAMES:
+                    params[f"layer{i}.k{k}.{name}"] = record["params"][f"layer{i}.{name}"][k]
+        path.write_text(json.dumps({**record, "format": "hkn-checkpoint-v1", "params": params}))
+        with pytest.raises(DataFormatError, match="'hkn-checkpoint-v1' is not 'hkn-checkpoint-v2'"):
             gn.load_checkpoint(path)
 
     def test_metrics_csv_format(self, tmp_path):

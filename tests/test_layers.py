@@ -258,31 +258,31 @@ class TestHLinear:
         assert all(parent.op == "leaf" for parent in out.parents)
 
 
-def _per_kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
-    # the kernel aggregation as the chain of per-kernel tape nodes it fuses
+def _per_kernel_aggregate(feats, params, kernel_rows, kappa, drop_mask=None):
+    # the kernel aggregation as the chain of per-kernel tape nodes it fuses;
+    # kernel k takes slice k of every stacked parameter and of the mask
     aggregate = None
-    for k, params in enumerate(sublayers):
-        mask = None if drop_masks is None else drop_masks[k]
-        transformed = _fused_hlinear(feats, *params, kappa, mask)
+    for k in range(len(kernel_rows)):
+        mask = None if drop_mask is None else drop_mask[:, k]
+        transformed = _fused_hlinear(feats, *(f[k] for f in params), kappa, mask)
         nu = lmath.dist(feats, kernel_rows[k], kappa)
         term = layers._as_column(nu) * transformed
         aggregate = term if aggregate is None else aggregate + term
     return aggregate
 
 
-def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
+def _kernel_aggregate(feats, params, kernel_rows, kappa, drop_mask=None):
     # the kernel aggregation as one full-height tape node over all K
     # kernels: per-kernel output rows kept, one product per adjoint
-    K = len(sublayers)
-    n = len(layers.PARAM_NAMES)
-    masks = [None] * K if drop_masks is None else drop_masks
-    inputs = (feats,) + tuple(p for params in sublayers for p in params)
+    K = len(kernel_rows)
+    masks = [None if drop_mask is None else drop_mask[:, k] for k in range(K)]
+    inputs = (feats, *params)
 
     def forward(x, *values):
         aggregate = None
         kept = []
         for k in range(K):
-            spatial, gated = _gated_forward(x, *values[n * k : n * (k + 1)], kappa, masks[k])
+            spatial, gated = _gated_forward(x, *(f[k] for f in values), kappa, masks[k])
             out = np.concatenate([gated[-1], spatial], axis=-1)
             nu, z = lmath._dist(x, kernel_rows[k], kappa)
             term = nu.reshape(nu.shape + (1,)) * out
@@ -307,7 +307,8 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
         g_x = None
         if needs[0]:
             metric = lmath.metric_row(kernel_rows.shape[1] - 1)
-            rows = np.concatenate([*values[::n], np.stack(values[1::n]), kernel_rows * metric])
+            weight, gate_vec = values[:2]
+            rows = np.concatenate([weight.reshape(K * D, -1), gate_vec, kernel_rows * metric])
             g_x = block[:, : K * (D + 2)] @ rows
         # summed over the node's tiles, one product per tile and kernel, as
         # the node sums them
@@ -317,51 +318,61 @@ def _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks=None):
             for cols in kernel_cols:
                 g_params[cols] += block[rows, cols].T @ x[rows]
         sums = block[:, : K * (D + 1)].sum(axis=0)
-        scale_sums = g_scales.sum(axis=0)
-        grads = [g_x]
-        for k in range(K):
-            _, gate_vec, bias, gate_bias, log_scale = values[n * k : n * (k + 1)]
-            grads += [
-                g_params[k * D : (k + 1) * D],
-                g_params[K * D + k].reshape(gate_vec.shape),
-                sums[k * D : (k + 1) * D].reshape(bias.shape),
-                sums[K * D + k].reshape(np.shape(gate_bias)),
-                scale_sums[k].reshape(np.shape(log_scale)),
-            ]
-        return tuple(grads)
+        return (
+            g_x,
+            g_params[: K * D].reshape(K, D, -1),
+            g_params[K * D :],
+            sums[: K * D].reshape(K, D),
+            sums[K * D :],
+            g_scales.sum(axis=0),
+        )
 
     return ad._lift("kernel_aggregate", inputs, forward, backward)
 
 
-def _chain_edge_points(center_rows, neighbor_rows, sublayers, kernel_rows, kappa, drop_masks=None):
+def _chain_edge_points(center_rows, neighbor_rows, params, kernel_rows, kappa, drop_mask=None):
     # the per-edge points as three full-height tape nodes: recentering,
     # kernel aggregation, normalization
     feats = lmath.ominus(neighbor_rows, center_rows, kappa)
-    aggregate = _kernel_aggregate(feats, sublayers, kernel_rows, kappa, drop_masks)
+    aggregate = _kernel_aggregate(feats, params, kernel_rows, kappa, drop_mask)
     return lmath.normalize_timelike(aggregate, kappa)
 
 
 def _aggregation_inputs(rng, K, width, out_dim=16, edges=40, kappa=-0.7):
-    """Root rows, neighbor rows, kernel rows and K random parameter tuples
-    (PARAM_NAMES order)."""
+    """Root rows, neighbor rows, kernel rows and a conv layer's random
+    parameters in PARAM_NAMES order, each stacked over the K kernels
+    (drawn kernel after kernel)."""
     centers = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
     neighbors = lmath.embed(0.7 * rng.standard_normal((edges, width - 1)), kappa)
     kernel_rows = lmath.embed(0.5 * rng.standard_normal((K, width - 1)), kappa)
-    sublayers = [
+    drawn = [
         (
             rng.uniform(-0.5, 0.5, size=(out_dim, width)),
             0.3 * rng.standard_normal(width),
             0.3 * rng.standard_normal(out_dim),
-            np.asarray(rng.normal(0.0, 0.3)),
-            np.asarray(rng.normal(0.0, 0.3)),
+            rng.normal(0.0, 0.3),
+            rng.normal(0.0, 0.3),
         )
         for _ in range(K)
     ]
-    return centers, neighbors, kernel_rows, sublayers
+    return centers, neighbors, kernel_rows, tuple(np.stack(f) for f in zip(*drawn))
 
 
-def _drop_masks(rng, K, edges, out_dim=16, keep=0.7):
-    return [(rng.random((edges, out_dim)) < keep) / keep for _ in range(K)]
+def _drop_mask(rng, K, edges, out_dim=16, keep=0.7):
+    """An (edges, K, out_dim) mask, drawn kernel after kernel."""
+    return np.stack([(rng.random((edges, out_dim)) < keep) / keep for _ in range(K)], axis=1)
+
+
+def _per_kernel(grads):
+    """Every adjoint by (kernel, leaf): a stacked parameter's slice k under
+    (k, name), any other leaf whole under (path, path)."""
+    out = {}
+    for path, g in grads.items():
+        if path in layers.PARAM_NAMES:
+            out.update({(k, path): g[k] for k in range(len(g))})
+        else:
+            out[path, path] = g
+    return out
 
 
 def _assert_same_bits(got, want):
@@ -381,34 +392,28 @@ def _assert_near(got, want, bound):
 FORWARD_BOUND, ADJOINT_BOUND = 1e-14, 1e-12
 
 
-def _edge_gradients(fn, centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded, rng):
+def _edge_gradients(fn, centers, neighbors, kernel_rows, params, kappa, mask, recorded, rng):
     """(output values, gradients of every leaf) of a weighted sum of fn's
     rows; recorded makes the root and neighbor rows leaves too."""
-    weights = rng.standard_normal((len(centers), sublayers[0][0].shape[0] + 1))
+    weights = rng.standard_normal((len(centers), params[0].shape[1] + 1))
     return _weighted_gradients(
-        fn, centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded, weights
+        fn, centers, neighbors, kernel_rows, params, kappa, mask, recorded, weights
     )
 
 
-def _weighted_gradients(
-    fn, centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded, weights
-):
+def _weighted_gradients(fn, centers, neighbors, kernel_rows, params, kappa, mask, recorded, weights):
     store = ad.ParamStore()
     if recorded:
         store.add("centers", centers)
         store.add("neighbors", neighbors)
-    for k, params in enumerate(sublayers):
-        for name, value in zip(layers.PARAM_NAMES, params):
-            store.add(f"k{k}.{name}", value)
+    for name, value in zip(layers.PARAM_NAMES, params):
+        store.add(name, value)
     values = {}
 
     def loss(leaves):
         rows = (leaves["centers"], leaves["neighbors"]) if recorded else (centers, neighbors)
-        subs = [
-            tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
-            for k in range(len(sublayers))
-        ]
-        out = fn(*rows, subs, kernel_rows, kappa, masks)
+        stacked = tuple(leaves[name] for name in layers.PARAM_NAMES)
+        out = fn(*rows, stacked, kernel_rows, kappa, mask)
         values["out"] = out.value
         return ad.sum(out * weights)
 
@@ -416,25 +421,27 @@ def _weighted_gradients(
 
 
 def _assert_matches_the_chain(
-    centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded, per_kernel=False
+    centers, neighbors, kernel_rows, params, kappa, mask, recorded, per_kernel=False
 ):
-    """The stacked node's output and every leaf's adjoint against the chain,
-    within FORWARD_BOUND and ADJOINT_BOUND of the leaf's largest entry, or
-    with per_kernel of the largest adjoint entry of the leaf's kernel."""
-    fixed = (centers, neighbors, sublayers, kernel_rows, kappa, masks)
+    """The stacked node's output and every kernel's adjoint of every leaf
+    against the chain, within FORWARD_BOUND and ADJOINT_BOUND of the
+    largest entry of that kernel's slice of the leaf, or with per_kernel of
+    the largest adjoint entry of the kernel."""
+    fixed = (centers, neighbors, params, kernel_rows, kappa, mask)
     _assert_near(layers._edge_points(*fixed), _chain_edge_points(*fixed), FORWARD_BOUND)
-    args = (centers, neighbors, kernel_rows, sublayers, kappa, masks, recorded)
+    args = (centers, neighbors, kernel_rows, params, kappa, mask, recorded)
     got_out, got = _edge_gradients(layers._edge_points, *args, np.random.default_rng(1))
     want_out, want = _edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))
     _assert_near(got_out["out"], want_out["out"], FORWARD_BOUND)
     assert set(got) == set(want)
+    got, want = _per_kernel(got), _per_kernel(want)
 
-    def group(path):
-        return path.split(".")[0] if per_kernel else path
+    def group(key):
+        return key[0] if per_kernel else key
 
-    for path in want:
-        scale = max(np.max(np.abs(want[p])) for p in want if group(p) == group(path))
-        assert np.max(np.abs(got[path] - want[path])) <= ADJOINT_BOUND * scale, path
+    for key in want:
+        scale = max(np.max(np.abs(want[p])) for p in want if group(p) == group(key))
+        assert np.max(np.abs(got[key] - want[key])) <= ADJOINT_BOUND * scale, key
 
 
 T = layers.TILE_ROWS
@@ -456,15 +463,15 @@ class TestKernelAggregate:
         # widths: the first layers of both benchmark workloads and the hidden
         # layer; the node within FORWARD_BOUND of the chain, the full-height
         # oracle bit for bit the per-kernel chain
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, width)
         feats = lmath.ominus(neighbors, centers, self.kappa)
-        for drop in (None, _drop_masks(rng, K, len(centers))):
-            got = layers._edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa, drop)
-            want = _chain_edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa, drop)
+        for drop in (None, _drop_mask(rng, K, len(centers))):
+            got = layers._edge_points(centers, neighbors, params, kernel_rows, self.kappa, drop)
+            want = _chain_edge_points(centers, neighbors, params, kernel_rows, self.kappa, drop)
             _assert_near(got, want, FORWARD_BOUND)
             _assert_same_bits(
-                _kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop),
-                _per_kernel_aggregate(feats, sublayers, kernel_rows, self.kappa, drop),
+                _kernel_aggregate(feats, params, kernel_rows, self.kappa, drop),
+                _per_kernel_aggregate(feats, params, kernel_rows, self.kappa, drop),
             )
 
     @pytest.mark.parametrize("recorded_input", (False, True))
@@ -472,40 +479,37 @@ class TestKernelAggregate:
     def test_adjoints_match_the_chain(self, rng, recorded_input, masked):
         # a constant input is the first conv layer's, a recorded one a later layer's
         K, width = 3, 10
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, width)
-        masks = _drop_masks(rng, K, len(centers)) if masked else None
-        args = (centers, neighbors, kernel_rows, sublayers, self.kappa, masks, recorded_input)
-        got = _edge_gradients(layers._edge_points, *args, np.random.default_rng(1))[1]
-        want = _edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))[1]
-        for path in want:
-            _assert_near(got[path], want[path], ADJOINT_BOUND)
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, width)
+        mask = _drop_mask(rng, K, len(centers)) if masked else None
+        args = (centers, neighbors, kernel_rows, params, self.kappa, mask, recorded_input)
+        got = _per_kernel(_edge_gradients(layers._edge_points, *args, np.random.default_rng(1))[1])
+        want = _per_kernel(_edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))[1])
+        for key in want:
+            _assert_near(got[key], want[key], ADJOINT_BOUND)
 
         # the full-height oracle against the per-kernel chain it fuses
         feats = lmath.ominus(neighbors, centers, self.kappa)
         store = ad.ParamStore()
         if recorded_input:
             store.add("feats", feats)
-        for k, params in enumerate(sublayers):
-            for name, value in zip(layers.PARAM_NAMES, params):
-                store.add(f"k{k}.{name}", value)
+        for name, value in zip(layers.PARAM_NAMES, params):
+            store.add(name, value)
         weights = rng.standard_normal((len(feats), 17))
 
         def loss(fn):
             def run(leaves):
                 x = leaves["feats"] if recorded_input else feats
-                subs = [
-                    tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
-                    for k in range(K)
-                ]
-                return ad.sum(fn(x, subs, kernel_rows, self.kappa, masks) * weights)
+                stacked = tuple(leaves[name] for name in layers.PARAM_NAMES)
+                return ad.sum(fn(x, stacked, kernel_rows, self.kappa, mask) * weights)
 
             return run
 
-        got = ad.grad(loss(_kernel_aggregate), store)
-        want = ad.grad(loss(_per_kernel_aggregate), store)
-        for path in store.paths():
-            scale = np.max(np.abs(want[path]))
-            assert np.max(np.abs(got[path] - want[path])) <= 1e-12 * scale, path
+        got = _per_kernel(ad.grad(loss(_kernel_aggregate), store))
+        want = _per_kernel(ad.grad(loss(_per_kernel_aggregate), store))
+        assert len(want) == 5 * K + recorded_input
+        for key in want:
+            scale = np.max(np.abs(want[key]))
+            assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
 
     @pytest.mark.parametrize("recorded", (False, True))
     @pytest.mark.parametrize("masked", (False, True))
@@ -513,11 +517,9 @@ class TestKernelAggregate:
     @pytest.mark.parametrize("edges", (1, T - 1, T, T + 1, 3 * T + 37))
     def test_tiles_are_bit_identical_to_the_chain(self, rng, edges, K, masked, recorded):
         # less than a tile, a full one, one row past it, several uneven ones
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, 10, edges=edges)
-        masks = _drop_masks(rng, K, edges) if masked else None
-        _assert_matches_the_chain(
-            centers, neighbors, kernel_rows, sublayers, self.kappa, masks, recorded
-        )
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, 10, edges=edges)
+        mask = _drop_mask(rng, K, edges) if masked else None
+        _assert_matches_the_chain(centers, neighbors, kernel_rows, params, self.kappa, mask, recorded)
 
     @pytest.mark.parametrize("masked", (False, True))
     @pytest.mark.parametrize("K", (2, 8, 9))
@@ -526,8 +528,8 @@ class TestKernelAggregate:
         # superset of 2,548 rows (three tiles): each row's output and its
         # root and neighbor adjoints keep their bits
         rows, total = 300, 2 * T + 500
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, 10, edges=total)
-        masks = _drop_masks(rng, K, total) if masked else None
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, 10, edges=total)
+        mask = _drop_mask(rng, K, total) if masked else None
         weights = rng.standard_normal((total, 17))
         spots = rng.permutation(total)[:rows]
 
@@ -535,10 +537,9 @@ class TestKernelAggregate:
             def take(a):
                 return None if a is None else a[pick]
 
-            picked_masks = None if masks is None else [m[pick] for m in masks]
             return _weighted_gradients(
-                layers._edge_points, take(centers), take(neighbors), kernel_rows, sublayers,
-                self.kappa, picked_masks, True, take(weights),
+                layers._edge_points, take(centers), take(neighbors), kernel_rows, params,
+                self.kappa, take(mask), True, take(weights),
             )
 
         alone_out, alone = run(spots)
@@ -563,26 +564,24 @@ class TestKernelAggregate:
         # cancel far below them (a gate bias of 8e-4 beside its kernel's
         # adjoints near 1), so each leaf is held to its kernel's scale
         rng = np.random.default_rng(seed)
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(
-            rng, K, width, edges=edges
-        )
-        masks = _drop_masks(rng, K, edges) if masked else None
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, width, edges=edges)
+        mask = _drop_mask(rng, K, edges) if masked else None
         _assert_matches_the_chain(
-            centers, neighbors, kernel_rows, sublayers, self.kappa, masks, recorded, True
+            centers, neighbors, kernel_rows, params, self.kappa, mask, recorded, True
         )
 
     def test_constant_rows_keep_no_state_for_their_adjoint(self, rng):
         # the first conv layer's node (constant root and neighbor rows) keeps
         # neither the K kernels' acosh arguments nor the boost's a and shift
         K, edges = 4, 3000
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, K, 10, edges=edges)
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, 10, edges=edges)
         held = {}
         for recorded in (False, True):
             rows = (ad.Tensor(centers), ad.Tensor(neighbors)) if recorded else (centers, neighbors)
-            subs = [tuple(ad.Tensor(v) for v in params) for params in sublayers]
+            leaves = tuple(ad.Tensor(v) for v in params)
             tracemalloc.start()
             try:
-                out = layers._edge_points(*rows, subs, kernel_rows, self.kappa)
+                out = layers._edge_points(*rows, leaves, kernel_rows, self.kappa)
                 held[recorded] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -595,26 +594,26 @@ class TestKernelAggregate:
         # roots at the origin leave the neighbors where they are, and one
         # kernel away from them scales every point by a positive distance
         # that the normalization removes: the node runs hlinear_core's map
-        _, rows, _, sublayers = _aggregation_inputs(rng, 1, width, out_dim, 50, kappa)
+        _, rows, _, params = _aggregation_inputs(rng, 1, width, out_dim, 50, kappa)
         origin = np.repeat(lmath.origin_row(width - 1, kappa)[None, :], len(rows), axis=0)
         kernel = lmath.embed(np.full((1, width - 1), 3.0), kappa)
-        got = layers._edge_points(origin, rows, sublayers, kernel, kappa)
-        _assert_near(got, layers.hlinear_core(rows, *sublayers[0], kappa), FORWARD_BOUND)
+        got = layers._edge_points(origin, rows, params, kernel, kappa)
+        _assert_near(got, layers.hlinear_core(rows, *(f[0] for f in params), kappa), FORWARD_BOUND)
 
     def test_vanishing_prenorm_vector_of_one_kernel_is_degenerate(self, rng):
-        centers, neighbors, kernel_rows, sublayers = _aggregation_inputs(rng, 3, 5)
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, 3, 5)
         feats = lmath.ominus(neighbors, centers, self.kappa)
         weight = np.ones((16, 5))
         # the second kernel's bias cancels its affine map at the first row
-        zero = np.asarray(0.0)
-        sublayers[1] = (weight, np.zeros(5), -(weight @ feats[0]), zero, zero)
+        for field, value in zip(params, (weight, np.zeros(5), -(weight @ feats[0]), 0.0, 0.0)):
+            field[1] = value
         with pytest.raises(DegenerateGeometryError, match="kernel 1"):
-            layers._edge_points(centers, neighbors, sublayers, kernel_rows, self.kappa)
+            layers._edge_points(centers, neighbors, params, kernel_rows, self.kappa)
         store = ad.ParamStore()
         store.add("centers", centers)
         with pytest.raises(DegenerateGeometryError, match="kernel 1"):
             layers._edge_points(
-                store.tensors()["centers"], neighbors, sublayers, kernel_rows, self.kappa
+                store.tensors()["centers"], neighbors, params, kernel_rows, self.kappa
             )
 
 
@@ -722,7 +721,7 @@ class TestAttentionWeights:
         _, _, segments, centers, flat = self._neighborhoods(rng, cfg3, sizes)
 
         def weights(segments, centers, flat):
-            ranks = layers._row_classes(np.hstack([centers, flat]).view(np.uint64))[0]
+            ranks = lo._row_classes(np.hstack([centers, flat]).view(np.uint64))[0]
             order = np.lexsort((ranks, segments))
             d = lmath.dist(centers[order], flat[order], cfg3.curvature)
             w = np.empty(segments.size)
@@ -840,20 +839,19 @@ class TestHKConv:
         dst, src = np.zeros(4, dtype=np.int64), np.arange(1, 5)
         kernels = _fixed_kernels(rng, 3, cfg3).coords_array()
         for pooling in layers.POOLINGS:
-            store = ad.ParamStore()
             inits = [layers.init_hlinear(rng, 3, 3) for _ in range(3)]
-            for k, init in enumerate(inits):
-                store.add(f"w{k}", init.weight)
-                store.add(f"g{k}", rng.standard_normal(4) * 0.3)
-                store.add(f"b{k}", rng.standard_normal(3) * 0.3)
+            drawn = [
+                (init.weight, rng.standard_normal(4) * 0.3, rng.standard_normal(3) * 0.3)
+                for init in inits
+            ]
+            store = ad.ParamStore()
+            for name, field in zip(layers.PARAM_NAMES, zip(*drawn)):
+                store.add(name, np.stack(field))
 
             def loss(leaves, pooling=pooling):
-                subs = tuple(
-                    (leaves[f"w{k}"], leaves[f"g{k}"], leaves[f"b{k}"], 0.0, 0.0)
-                    for k in range(3)
-                )
+                params = (*(leaves[name] for name in layers.PARAM_NAMES[:3]), np.zeros(3), np.zeros(3))
                 out = layers.hkconv_core(
-                    rows, dst, src, np.arange(4), [4], subs, kernels, pooling, cfg3.curvature,
+                    rows, dst, src, np.arange(4), [4], params, kernels, pooling, cfg3.curvature,
                 )
                 d = lmath.dist(out, lmath.origin_row(3, cfg3.curvature), cfg3.curvature)
                 return ad.sum(d * d)
@@ -862,10 +860,10 @@ class TestHKConv:
             assert max(report.values()) <= 1e-4
 
 
-def _per_edge_core(rows, roots, neighbors, counts, sublayers, kernel_rows, pooling, kappa):
+def _per_edge_core(rows, roots, neighbors, counts, params, kernel_rows, pooling, kappa):
     # hkconv_core with every edge's points computed from its own gathered rows
     centers, neighbor_rows = ad.take(rows, roots), ad.take(rows, neighbors)
-    per_edge = layers._edge_points(centers, neighbor_rows, sublayers, kernel_rows, kappa)
+    per_edge = layers._edge_points(centers, neighbor_rows, params, kernel_rows, kappa)
     w = None
     if pooling == "attention":
         d = lmath.dist(centers, neighbor_rows, kappa)
@@ -936,10 +934,10 @@ class TestDistinctRowPairs:
     @pytest.mark.parametrize("pooling", layers.POOLINGS)
     @pytest.mark.parametrize("case", ("repeated", "distinct", "identical", "signed_zero"))
     def test_constant_rows_match_per_edge_rows_bitwise(self, rng, monkeypatch, case, pooling):
-        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 6)[2:]
+        kernel_rows, params = _aggregation_inputs(rng, 4, 6)[2:]
         rows = self._rows(rng, case)
         edges = self._graph(rng, case)
-        fixed = (sublayers, kernel_rows, pooling, self.kappa)
+        fixed = (params, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         pairs = set(zip(edges[0], edges[1]))
         if case == "signed_zero":
@@ -957,10 +955,10 @@ class TestDistinctRowPairs:
     def test_a_lone_pair_runs_on_two_rows(self, rng, monkeypatch, pooling):
         # five edges of one (root, neighbor) pair in two segments: a one-row
         # node would take NumPy's matrix-vector path and round differently
-        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
+        kernel_rows, params = _aggregation_inputs(rng, 4, 10)[2:]
         rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)
         edges = (np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64), np.array([2, 3]))
-        fixed = (sublayers, kernel_rows, pooling, self.kappa)
+        fixed = (params, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         seen = self._spy_rows(monkeypatch)
         _assert_same_bits(_pair_core(rows, *edges, *fixed), want)
@@ -968,10 +966,10 @@ class TestDistinctRowPairs:
 
     @pytest.mark.parametrize("pooling", layers.POOLINGS)
     def test_a_single_edge_runs_on_one_row(self, rng, monkeypatch, pooling):
-        kernel_rows, sublayers = _aggregation_inputs(rng, 4, 10)[2:]
+        kernel_rows, params = _aggregation_inputs(rng, 4, 10)[2:]
         rows = lmath.embed(0.5 * rng.standard_normal((2, 9)), self.kappa)
         edges = (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.array([1]))
-        fixed = (sublayers, kernel_rows, pooling, self.kappa)
+        fixed = (params, kernel_rows, pooling, self.kappa)
         want = _per_edge_core(rows, *edges, *fixed)
         seen = self._spy_rows(monkeypatch)
         _assert_same_bits(_pair_core(rows, *edges, *fixed), want)
@@ -992,23 +990,19 @@ class TestDistinctRowPairs:
         # the rows are a tensor here (embedded leaves), as in every conv
         # layer after the first: merged pairs are one function of them
         K = 3
-        kernel_rows, sublayers = _aggregation_inputs(rng, K, 6, out_dim=4)[2:]
+        kernel_rows, params = _aggregation_inputs(rng, K, 6, out_dim=4)[2:]
         edges = self._graph(rng, "repeated")
         assert len(set(zip(edges[0], edges[1]))) < len(edges[0]) / 2
         store = ad.ParamStore()
         store.add("features", 0.5 * rng.standard_normal((self.nodes, 5)))
-        for k, params in enumerate(sublayers):
-            for name, value in zip(layers.PARAM_NAMES, params):
-                store.add(f"k{k}.{name}", value)
+        for name, value in zip(layers.PARAM_NAMES, params):
+            store.add(name, value)
 
         def loss(core):
             def run(leaves):
-                subs = [
-                    tuple(leaves[f"k{k}.{name}"] for name in layers.PARAM_NAMES)
-                    for k in range(K)
-                ]
+                stacked = tuple(leaves[name] for name in layers.PARAM_NAMES)
                 rows = lmath.embed(leaves["features"], self.kappa)
-                out = core(rows, *edges, subs, kernel_rows, pooling, self.kappa)
+                out = core(rows, *edges, stacked, kernel_rows, pooling, self.kappa)
                 d = lmath.dist(out, lmath.origin_row(4, self.kappa), self.kappa)
                 return ad.sum(d * d)
 
@@ -1019,8 +1013,8 @@ class TestDistinctRowPairs:
         assert max(report.values()) <= 1e-4
         # the per-pair adjoints, summed by the gather, differ from the
         # per-edge ones by rounding only
-        got = ad.grad(loss(_pair_core), store)
-        want = ad.grad(loss(_per_edge_core), store)
-        for path in store.paths():
-            scale = np.max(np.abs(want[path]))
-            assert np.max(np.abs(got[path] - want[path])) <= 1e-12 * scale, path
+        got = _per_kernel(ad.grad(loss(_pair_core), store))
+        want = _per_kernel(ad.grad(loss(_per_edge_core), store))
+        for key in want:
+            scale = np.max(np.abs(want[key]))
+            assert np.max(np.abs(got[key] - want[key])) <= 1e-12 * scale, key
