@@ -422,8 +422,8 @@ class HKNConfig:
             raise ParameterError("curvature must be negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ParameterError("dropout must be in [0, 1)")
-        if not (self.lr > 0 and self.weight_decay >= 0):
-            raise ParameterError("lr must be positive and weight_decay nonnegative")
+        if not (0 < self.lr < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ParameterError("lr must be positive and weight_decay nonnegative, both finite")
         if self.pooling_weights not in layers.POOLINGS:
             raise ParameterError(f"unknown pooling {self.pooling_weights!r}")
         if self.kernel_source not in KERNEL_SOURCES:

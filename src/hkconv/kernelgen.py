@@ -88,8 +88,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (self.lr > 0 and self.max_iters > 0 and self.grad_tol > 0):
-            raise ParameterError("lr, max_iters and grad_tol must be positive")
+        if not (0 < self.lr < math.inf and self.max_iters > 0 and self.grad_tol > 0):
+            raise ParameterError("lr must be positive and finite, max_iters and grad_tol positive")
         if not 0 < self.init_scale < math.inf:
             raise ParameterError("init_scale must be positive and finite")
         if self.seed < 0:

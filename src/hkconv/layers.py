@@ -25,6 +25,13 @@ The building blocks:
   recomputes the rest tile by tile into a tile-sized adjoint block, which
   gives the recentred rows' adjoint in one product per tile, and the
   weights' and biases' adjoints in one small product per tile and kernel.
+  The backward runs only the live rows, those whose output adjoint is not
+  zero: a loss that reads some nodes' logits reaches only the pair rows
+  in their receptive field. A dead row would add exactly zero to every
+  sum, and two OpenBLAS rules keep the bits of running every row: the
+  _LANES widening makes a row's product bits independent of the rows
+  beside it, and a weight product adds each output over the rows in
+  order, so leaving out zero rows changes no bit.
   hkconv_core runs that node on the (root, neighbor) row pairs its caller
   lists and gathers the points to the edges.
 
@@ -438,6 +445,22 @@ def _edge_points(
     terms only it needs, are computed, and the per-row scalars they read
     kept, only when the root or neighbor rows are recorded (not in the
     first conv layer).
+
+    Every per-row step of the backward, and the weight and bias products,
+    runs on the live rows alone: the rows whose output adjoint has an
+    entry other than zero (NaN counts as live). A tile with no live row is
+    skipped, a tile of live rows reads its kept state in place, and any
+    other tile gathers its live rows' state once. The dead rows' root and
+    neighbor adjoints are +0.0. The bits are those of running every row:
+    a dead row's block entries would be +-0 and add nothing; elementwise
+    passes and row-wise einsums give a row the same bits whatever rows sit
+    beside it, as does the _LANES-widened row product (a lone live row is
+    multiplied beside another, since NumPy runs one row as a
+    matrix-vector product); and OpenBLAS adds each output of a weight
+    product, and NumPy each column sum over the rows, in row order, so
+    dropping exactly-zero rows changes no bit while the products have at
+    least two rows and columns (K >= 2 and out_dim >= 2, as in every
+    HKN). tests/test_layers.py checks both rules where it runs.
     """
     kernel_rows = ad.value_of(kernel_rows)
     K = kernel_rows.shape[0]
@@ -480,16 +503,20 @@ def _edge_points(
             normed, normal = lmath._normalized(aggregate, kappa)
             points[rows] = normed
             if recording:
-                rest = (z, a, shift) if need_rows else None
-                kept.append((rows, c, u, norm, gate, sig, nu, normal, rest))
+                rest = (z, a, shift) if need_rows else ()
+                kept.append((rows, (c, u, norm, gate, sig, nu, *normal, *rest)))
         return points, (nbr, ctr, maps, points, kept)
 
     def backward(g, saved, needs):
         nbr, ctr, maps, points, kept = saved
         D, W = g.shape[1] - 1, nbr.shape[1]
         KD = K * D
-        lifted = _with_ones(-(-len(nbr) // len(kept)), W)
-        block = np.empty((len(lifted), K * (D + 2)))
+        longest = -(-len(nbr) // len(kept))
+        lifted = _with_ones(longest, W)
+        block = np.zeros((longest, K * (D + 2)))
+        # the three g_u passes run on a contiguous buffer, copied into the
+        # block's strided columns once
+        g_u_buffer = np.empty((longest, K, D))
         g_maps = np.zeros((K * (D + 1), W + 1))
         kernel_cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(KD, KD + K)]
         g_scales = np.zeros(K)
@@ -499,24 +526,36 @@ def _edge_points(
             stacked = np.zeros((block.shape[1], _lanes(W)))
             stacked[:, :W] = maps[:W, : block.shape[1]].T
             g_lifted = np.empty((len(block), stacked.shape[1]))
-            grads = [np.empty_like(v) if need else None for v, need in zip((nbr, ctr), needs)]
-        for rows, c, u, norm, gate, sig, nu, normal, rest in kept:
-            g_sum = lmath._normalized_backward(g[rows], points[rows], *normal, kappa)
+            grads = [np.zeros_like(v) if need else None for v, need in zip((nbr, ctr), needs)]
+        # only the live rows run: those whose output adjoint has a nonzero
+        # (or NaN) entry; the others add nothing to any sum
+        live_rows = g.any(axis=1)
+        for rows, state in kept:
+            live = np.flatnonzero(live_rows[rows])
+            if not live.size:
+                continue
+            if live.size < len(state[0]):
+                rows = rows.start + live
+                state = tuple(s[live] for s in state)
+            c, u, norm, gate, sig, nu, sign, denom, *rest = state
+            n = len(norm)
+            g_sum = lmath._normalized_backward(g[rows], points[rows], sign, denom, kappa)
             g_time, g_spatial = g_sum[:, :1], g_sum[:, 1:]
             along = np.einsum("ed,ekd->ek", g_spatial, u)
             time = np.sqrt(gate * gate - 1.0 / kappa)
             g_gate = nu * (along / norm + g_time * (gate / time))
             g_scales += (g_gate * gate).sum(axis=0)
-            tile = block[: len(norm)]
-            # g_u = nu * gate / |u| * (g_spatial - along / |u|^2 * u), in place
-            g_u = tile[:, :KD].reshape(-1, K, D)
+            tile = block[:n]
+            # g_u = nu * gate / |u| * (g_spatial - along / |u|^2 * u)
+            g_u = g_u_buffer[:n]
             np.multiply(u, (-along / (norm * norm))[..., None], out=g_u)
             g_u += g_spatial[:, None, :]
             g_u *= (nu * gate / norm)[..., None]
             if drop_mask is not None:
                 g_u *= drop_mask[rows]
+            tile[:, :KD] = g_u.reshape(n, KD)
             tile[:, KD : KD + K] = g_gate * gate * (1.0 - sig)
-            x = lifted[: len(norm)]
+            x = lifted[:n]
             x[:, :W] = lmath._boosted(nbr[rows], ctr[rows], c, kappa)
             # weight and bias adjoints summed over tiles, one product per
             # tile and kernel: OpenBLAS splits a product of more than about
@@ -528,7 +567,10 @@ def _edge_points(
                 z, a, shift = rest
                 g_nu = g_time * time + along * (gate / norm)
                 tile[:, KD + K :] = lmath._acosh_adjoint(g_nu, z, kappa)
-                g_feats = np.matmul(tile, stacked, out=g_lifted[: len(tile)])[:, :W]
+                # NumPy multiplies one row as a matrix-vector product (see
+                # _tiles), so a lone live row is multiplied beside the next
+                height = max(n, min(2, len(block)))
+                g_feats = np.matmul(block[:height], stacked, out=g_lifted[:height])[:n, :W]
                 parts = lmath._boost_backward(
                     g_feats, nbr[rows], ctr[rows], x[:, :W], a, shift, c, kappa, needs[:2]
                 )

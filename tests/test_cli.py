@@ -24,6 +24,7 @@ _SMALL_TRAIN = [
     "--nodes-per-graph", "12",
     "--max-epochs", "30",
 ]
+_TINY_TRAIN = ["--n-graphs", "20", "--nodes-per-graph", "8", "--max-epochs", "2"]
 
 
 _GLIBC = platform.libc_ver()[0] == "glibc"
@@ -756,6 +757,34 @@ class TestConfigKeys:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["train", *_TINY_TRAIN], "model.weight_decay=inf"),
+            (["train", *_TINY_TRAIN, "--lr", "inf"], None),
+            (["sweep", "--K-list", "2", "--seeds", "1", *_TINY_TRAIN, "--lr", "inf"], None),
+            (["kernel-gen", "--K", "4", "--dim", "3", "--lr", "inf"], None),
+        ],
+        ids=["train-weight-decay", "train-lr", "sweep-lr", "kernel-gen-lr"],
+    )
+    def test_infinite_step_size_or_decay_is_one_line_usage_error(
+        self, tmp_path, capsys, command, line
+    ):
+        # an infinite step turns the first update into NaN, or stalls the solver
+        if line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            command = [*command, "--config", str(cfg)]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "finite" in err[0]
 
     @pytest.mark.parametrize("field", ["K", "dim"])
     def test_infinite_kernel_file_count_is_one_line_failure(self, tmp_path, capsys, field):

@@ -421,17 +421,20 @@ def _weighted_gradients(fn, centers, neighbors, kernel_rows, params, kappa, mask
 
 
 def _assert_matches_the_chain(
-    centers, neighbors, kernel_rows, params, kappa, mask, recorded, per_kernel=False
+    centers, neighbors, kernel_rows, params, kappa, mask, recorded, per_kernel=False, weights=None
 ):
     """The stacked node's output and every kernel's adjoint of every leaf
     against the chain, within FORWARD_BOUND and ADJOINT_BOUND of the
     largest entry of that kernel's slice of the leaf, or with per_kernel of
-    the largest adjoint entry of the kernel."""
+    the largest adjoint entry of the kernel. weights, the output rows'
+    adjoint, defaults to a standard normal draw."""
     fixed = (centers, neighbors, params, kernel_rows, kappa, mask)
     _assert_near(layers._edge_points(*fixed), _chain_edge_points(*fixed), FORWARD_BOUND)
     args = (centers, neighbors, kernel_rows, params, kappa, mask, recorded)
-    got_out, got = _edge_gradients(layers._edge_points, *args, np.random.default_rng(1))
-    want_out, want = _edge_gradients(_chain_edge_points, *args, np.random.default_rng(1))
+    if weights is None:
+        weights = np.random.default_rng(1).standard_normal((len(centers), params[0].shape[1] + 1))
+    got_out, got = _weighted_gradients(layers._edge_points, *args, weights)
+    want_out, want = _weighted_gradients(_chain_edge_points, *args, weights)
     _assert_near(got_out["out"], want_out["out"], FORWARD_BOUND)
     assert set(got) == set(want)
     got, want = _per_kernel(got), _per_kernel(want)
@@ -549,6 +552,110 @@ class TestKernelAggregate:
         _assert_same_bits(mixed_out["out"][at], alone_out["out"])
         for path in ("centers", "neighbors"):
             _assert_same_bits(mixed[path][at], alone[path])
+
+    def test_blas_adds_each_product_output_over_the_rows_in_order(self, rng):
+        # the rule the live-row backward rests on: a weight or bias product
+        # A[:, cols].T @ x over only the rows where A is nonzero has the bits
+        # of the full-height one, as do the column sums of the gate terms
+        D = 16
+        for height in range(2, T + 1):
+            K, width = int(rng.integers(2, 9)), (11, 18)[height % 2]
+            block = rng.standard_normal((height, K * (D + 2)))
+            x = rng.standard_normal((height, width))
+            live = rng.random(height) < rng.random()
+            live[rng.integers(height)] = True
+            block[~live] = np.where(rng.random((1, block.shape[1])) < 0.5, 0.0, -0.0)
+            cols = [slice(k * D, (k + 1) * D) for k in range(K)] + [slice(K * D, K * (D + 1))]
+            for c in cols:
+                _assert_same_bits(block[live][:, c].T @ x[live], block[:, c].T @ x)
+            gates = block[:, K * D : K * (D + 1)]
+            _assert_same_bits(gates[live].sum(axis=0), gates.sum(axis=0))
+
+    @staticmethod
+    def _live_rows(rng, total):
+        """A live-row mask over _tiles(total): a random subset of the first
+        tile, none of the second, all of the third, one row of the last."""
+        tiles = layers._tiles(total)
+        assert len(tiles) == 4
+        live = np.zeros(total, dtype=bool)
+        live[tiles[0]] = rng.random(tiles[0].stop) < 0.5
+        live[tiles[2]] = True
+        live[tiles[3].start + 5] = True
+        return tiles, live
+
+    @pytest.mark.parametrize("recorded", (False, True))
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_backward_runs_only_the_live_rows(self, rng, monkeypatch, masked, recorded):
+        K, total = 3, 3 * T + 37
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, 10, edges=total)
+        mask = _drop_mask(rng, K, total) if masked else None
+        tiles, live = self._live_rows(rng, total)
+        weights = rng.standard_normal((total, 17))
+        dead = weights.copy()
+        # an output adjoint of -0.0 is dead too
+        dead[~live] = np.where(rng.random((np.sum(~live), 1)) < 0.5, 0.0, -0.0)
+        _assert_matches_the_chain(
+            centers, neighbors, kernel_rows, params, self.kappa, mask, recorded, True, dead
+        )
+
+        args = (centers, neighbors, kernel_rows, params, self.kappa, mask, recorded)
+        _, got = _weighted_gradients(layers._edge_points, *args, dead)
+        _, every = _weighted_gradients(layers._edge_points, *args, weights)
+        if recorded:
+            for path in ("centers", "neighbors"):
+                # +0.0 on the dead rows; a live row's bits are those it has
+                # when every row is live, the lone live row's included
+                _assert_same_bits(got[path][~live], np.zeros_like(got[path][~live]))
+                _assert_same_bits(got[path][live], every[path][live])
+
+        # the per-row work sees only the live rows
+        rows = (ad.Tensor(centers), ad.Tensor(neighbors)) if recorded else (centers, neighbors)
+        out = layers._edge_points(*rows, tuple(ad.Tensor(v) for v in params), kernel_rows,
+                                  self.kappa, mask)
+        seen = []
+        boosted = lmath._boosted
+
+        def spy(u, *rest):
+            seen.append(len(u))
+            return boosted(u, *rest)
+
+        monkeypatch.setattr(lmath, "_boosted", spy)
+        ad.Tape(ad.sum(out * dead)).gradients()
+        assert seen == [np.sum(live[rows]) for rows in tiles if live[rows].any()]
+        assert seen[1:] == [tiles[2].stop - tiles[2].start, 1]
+
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_dead_rows_add_no_bit_to_the_parameter_adjoints(self, rng, masked):
+        # one tile: the node with zero adjoints on its dead rows gives every
+        # leaf the bits of the node run on its live rows alone
+        K, total = 4, T - 3
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, K, 10, edges=total)
+        mask = _drop_mask(rng, K, total) if masked else None
+        live = rng.random(total) < 0.4
+        weights = rng.standard_normal((total, 17))
+        weights[~live] = 0.0
+
+        def run(pick):
+            return _weighted_gradients(
+                layers._edge_points, centers[pick], neighbors[pick], kernel_rows, params,
+                self.kappa, None if mask is None else mask[pick], True, weights[pick],
+            )[1]
+
+        got, alone = run(np.arange(total)), run(live)
+        for path in layers.PARAM_NAMES:
+            _assert_same_bits(got[path], alone[path])
+        for path in ("centers", "neighbors"):
+            _assert_same_bits(got[path][live], alone[path])
+
+    @pytest.mark.parametrize("recorded", (False, True))
+    def test_an_all_zero_adjoint_gives_zero_gradients(self, rng, recorded):
+        centers, neighbors, kernel_rows, params = _aggregation_inputs(rng, 3, 10, edges=T + 9)
+        weights = np.zeros((len(centers), 17))
+        args = (centers, neighbors, kernel_rows, params, self.kappa, None, recorded)
+        _, grads = _weighted_gradients(layers._edge_points, *args, weights)
+        assert len(grads) == 5 + 2 * recorded
+        for g in grads.values():
+            _assert_same_bits(g, np.zeros_like(g))
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(
