@@ -18,7 +18,9 @@ by their own class. Class ids come from the feature bytes and the graph
 structure alone, never from node ids, so node-relabeling equivariance is
 exact at the bit level. That class layout depends on the data alone
 (layout.prepare); a GraphBatch holds read-only copies of its arrays and
-keeps the layout of each model depth it has served.
+keeps the layout of each model depth it has served. Evaluating one split
+of a node task runs only the rows its nodes' logits read (layout.restrict),
+with the bits of the full forward's.
 """
 
 from __future__ import annotations
@@ -176,12 +178,18 @@ class GraphBatch:
         for array in stored:
             array.setflags(write=False)
 
-    def class_layout(self, depth: int, distinct: bool) -> layout.Layout:
+    def class_layout(self, depth: int, distinct: bool, split: str | None = None) -> layout.Layout:
         """layout.prepare(self, depth, distinct), prepared on first use
-        and kept for every later call with the same depth and distinct."""
-        key = (depth, distinct)
+        and kept for every later call with the same depth and distinct;
+        with a node task's split, that layout restricted to the split's
+        nodes (layout.restrict), kept too."""
+        key = (depth, distinct, split)
         if key not in self._layouts:
-            self._layouts[key] = layout.prepare(self, depth, distinct)
+            if split is None:
+                self._layouts[key] = layout.prepare(self, depth, distinct)
+            else:
+                full = self.class_layout(depth, distinct)
+                self._layouts[key] = layout.restrict(full, split_indices(self, split))
         return self._layouts[key]
 
     @property
@@ -557,7 +565,9 @@ def forward_logits(model: HKN, batch: GraphBatch, leaves=None, training=False, r
     once per batch), run each conv layer once per pair of structural node
     classes, then read out: one gather maps the last layer's class rows to
     the nodes, or to each graph's nodes in ascending class order for the
-    graph pooling, before the distance head.
+    graph pooling, before the distance head. evaluate passes a node task's
+    batch as a view whose layout is restricted to one split's nodes
+    (_SplitNodes), so the rows are that split's.
 
     leaves defaults to the store's current arrays; during training it is
     the tensor view created by the gradient driver. Dropout masks are
@@ -614,6 +624,15 @@ def _nll(logits, labels_idx: np.ndarray, unit_idx: np.ndarray, num_classes: int)
     return -ad.mean(ad.sum(logp * onehot, axis=-1))
 
 
+def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, classes: int) -> float:
+    """macro_f1_score of labels and predictions in range(classes), from
+    per-class counts: a class's F1 is 2 tp / (true + predicted)."""
+    tp = np.bincount(y_true[y_true == y_pred], minlength=classes)
+    members = np.bincount(y_true, minlength=classes) + np.bincount(y_pred, minlength=classes)
+    present = members > 0
+    return float(np.mean(2.0 * tp[present] / members[present]))
+
+
 def macro_f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Unweighted mean of per-class F1 over classes present in either
     the labels or the predictions; a class with no true and no predicted
@@ -623,27 +642,33 @@ def macro_f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.size == 0:
         raise ParameterError("need equal-length nonempty label vectors")
-    scores = []
-    for c in np.unique(np.concatenate([y_true, y_pred])):
-        tp = float(np.sum((y_pred == c) & (y_true == c)))
-        fp = float(np.sum((y_pred == c) & (y_true != c)))
-        fn = float(np.sum((y_pred != c) & (y_true == c)))
-        denom = 2 * tp + fp + fn
-        scores.append(0.0 if denom == 0 else 2 * tp / denom)
-    return float(np.mean(scores))
+    classes, codes = np.unique(np.concatenate([y_true, y_pred]), return_inverse=True)
+    return _macro_f1(codes[: y_true.size], codes[y_true.size :], classes.size)
 
 
-def _split_metrics(logits: np.ndarray, batch: GraphBatch, split: str):
+def _split_rows(batch: GraphBatch, split: str) -> np.ndarray:
+    """split_indices of a nonempty split; an empty one raises ParameterError."""
     idx = split_indices(batch, split)
     if idx.size == 0:
         raise ParameterError(f"split {split!r} is empty")
-    rows = logits[idx]
-    y = batch.labels[idx]
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    return idx
+
+
+def _scores(logits: np.ndarray, labels: np.ndarray, parts) -> list:
+    """(accuracy, macro-F1, mean cross-entropy) of each index array in
+    parts over the logit rows and their labels, from one log-softmax and
+    one argmax over every row. Both run row by row, and each part's loss
+    adds its rows' terms in the part's order, so a part scores as its
+    rows would alone."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    loss = float(-np.mean(logp[np.arange(len(y)), y]))
-    pred = np.argmax(rows, axis=1)
-    return float(np.mean(pred == y)), macro_f1_score(y, pred), loss
+    pred = np.argmax(logits, axis=1)
+    scores = []
+    for idx in parts:
+        y, guess = labels[idx], pred[idx]
+        loss = float(-np.mean(logp[idx, y]))
+        scores.append((float(np.mean(guess == y)), _macro_f1(y, guess, logits.shape[1]), loss))
+    return scores
 
 
 def _check_classes(model: HKN, data: GraphBatch) -> None:
@@ -655,12 +680,36 @@ def _check_classes(model: HKN, data: GraphBatch) -> None:
         )
 
 
+class _SplitNodes:
+    """A node task's batch as forward_logits sees it when only one split's
+    logits are wanted: its class layouts are restricted to the split's
+    nodes (GraphBatch.class_layout), so the forward runs their receptive
+    field alone and gives their rows, a lone node's twice."""
+
+    def __init__(self, batch: GraphBatch, split: str):
+        self.features = batch.features
+        self.feature_dim = batch.feature_dim
+        self.task = batch.task
+        self._batch = batch
+        self._split = split
+
+    def class_layout(self, depth: int, distinct: bool) -> layout.Layout:
+        return self._batch.class_layout(depth, distinct, self._split)
+
+
 def evaluate(model: HKN, data: GraphBatch, split: str) -> Metrics:
     """Accuracy, macro-F1 and mean cross-entropy on one split; read-only.
-    A label the model has no class for raises DataFormatError."""
+    A node task runs the forward on the split's receptive field alone,
+    which gives the split's rows of the full forward bit for bit
+    (layout.restrict). A label the model has no class for raises
+    DataFormatError."""
     _check_classes(model, data)
-    logits = np.asarray(forward_logits(model, data))
-    acc, f1, loss = _split_metrics(logits, data, split)
+    idx = _split_rows(data, split)
+    if data.task == "node":
+        logits = np.asarray(forward_logits(model, _SplitNodes(data, split)))[: idx.size]
+    else:
+        logits = np.asarray(forward_logits(model, data))[idx]
+    [(acc, f1, loss)] = _scores(logits, data.labels[idx], [np.arange(idx.size)])
     return Metrics(accuracy=acc, macro_f1=f1, loss=loss)
 
 
@@ -693,6 +742,7 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
     train_idx = split_indices(data, "train")
     if train_idx.size == 0:
         raise ParameterError("empty training split")
+    parts = [_split_rows(data, split) for split in SPLITS]
     labels_idx = data.labels[train_idx]
     drop_rng = np.random.Generator(np.random.Philox(key=mcfg.seed).jumped(1))
     scored_apart = mcfg.dropout > 0.0
@@ -704,10 +754,8 @@ def train(model: HKN, data: GraphBatch, cfg: TrainConfig | None = None) -> Metri
     def book(epoch: int, logits: np.ndarray) -> bool:
         """History rows, best snapshot and patience for epoch; True to stop."""
         nonlocal best, stale
-        epoch_stats = {}
-        for split in SPLITS:
-            acc, f1, loss = _split_metrics(logits, data, split)
-            epoch_stats[split] = (acc, f1, loss)
+        epoch_stats = dict(zip(SPLITS, _scores(logits, data.labels, parts)))
+        for split, (acc, f1, loss) in epoch_stats.items():
             history.append((epoch, split, loss, acc, f1))
         val_acc = epoch_stats["val"][0]
         improved = val_acc > best["val_acc"]

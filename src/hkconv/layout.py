@@ -7,7 +7,8 @@ same function of the parameters. prepare() labels the nodes by colour
 refinement (1-WL) and lists, for a model of a given depth, the rows each
 conv layer runs on, the edges it pools and the rows the readout gathers.
 None of it depends on a parameter, so one Layout serves every forward on
-the same data (GraphBatch.class_layout keeps it on the batch).
+the same data (GraphBatch.class_layout keeps it on the batch). restrict()
+cuts a node task's layout down to the rows some nodes' logits read.
 """
 
 from __future__ import annotations
@@ -186,3 +187,40 @@ def prepare(batch, depth: int, distinct: bool) -> Layout:
         pooled = np.sort(batch.graph_ids * count + labels) % count
         graph_counts = np.bincount(batch.graph_ids)
     return Layout(batch.features[feature_rows], tuple(layer_edges), labels, pooled, graph_counts)
+
+
+def restrict(plan: Layout, readout: np.ndarray) -> Layout:
+    """The part of a node task's layout that the readout nodes read.
+
+    readout lists node ids, nonempty; the result's labels give their
+    classes in that order, so a forward on it gives their logit rows.
+    Walking from the readout back to the features, each conv layer keeps
+    its needed output classes in class order, their edges in their
+    order, and the pairs those edges use in ascending order; the rows of
+    those pairs are the needed classes of the depth below. Each depth's
+    kept classes and pairs are renumbered in ascending order, so no
+    segment's edge order changes and no class moves relative to another.
+
+    The forward on the result gives the readout's rows of the full
+    forward bit for bit: its steps are row-wise, the products widened to
+    full vector lanes (layers._LANES), and its sums add each segment's
+    edges in the order given. Only a single row would round differently,
+    as NumPy multiplies it as a matrix-vector product: so, as in _pairs, a
+    lone kept pair runs on two rows, and a lone readout node is read out
+    twice, unless the full layout has one row too.
+    """
+    units = max(len(readout), min(plan.labels.size, 2))
+    needed, labels = np.unique(np.resize(plan.labels[readout], units), return_inverse=True)
+    layer_edges = []
+    for roots, neighbors, edges, counts, _ in reversed(plan.layer_edges):
+        sizes = counts[needed]
+        ends = np.cumsum(sizes)
+        firsts = np.cumsum(counts) - counts
+        kept = np.repeat(firsts[needed] - (ends - sizes), sizes) + np.arange(ends[-1])
+        pairs, kept_edges = np.unique(edges[kept], return_inverse=True)
+        pairs = np.resize(pairs, max(pairs.size, min(roots.size, 2)))
+        ends_of_pairs = np.concatenate([roots[pairs], neighbors[pairs]])
+        below, rows = np.unique(ends_of_pairs, return_inverse=True)
+        layer_edges.append((*np.split(rows, 2), kept_edges, sizes, needed.size))
+        needed = below
+    return Layout(plan.features[needed], tuple(reversed(layer_edges)), labels, None, None)

@@ -552,6 +552,39 @@ class TestTrainEvalSweep:
         )
         assert code == 0
 
+    def test_eval_of_a_node_task_checkpoint_reproduces_every_metric(self, tmp_path):
+        # eval runs the test split's receptive field alone; train's final
+        # test metrics came from the same restricted forward, and both
+        # equal the full forward's rows
+        rng = np.random.default_rng(6)
+        n = 80
+        edges = np.array([(i, int(rng.integers(i))) for i in range(1, n)])
+        split = rng.integers(0, 3, size=n)
+        data = graphnet.GraphBatch(
+            np.eye(3)[split], edges, rng.integers(0, 3, size=n),
+            masks={name: split == i for i, name in enumerate(graphnet.SPLITS)},
+        )
+        data_path = tmp_path / "nodes.json"
+        graphnet.save_dataset(data, data_path)
+        out = tmp_path / "train"
+        assert main(
+            ["train", "--task", "node", "--data", str(data_path), "--K", "2",
+             "--hidden-dim", "4", "--max-epochs", "6", "--out", str(out)]
+        ) == 0
+        info = json.loads((out / "checkpoint.json").read_text())["info"]
+        eval_out = tmp_path / "eval"
+        assert main(
+            ["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data_path),
+             "--out", str(eval_out)]
+        ) == 0
+        report = json.loads((eval_out / "report.json").read_text())
+        assert report["matches_checkpoint"] is True
+        assert (report["macro_f1"], report["loss"]) == (info["test_macro_f1"], info["test_loss"])
+        model, _ = graphnet.load_checkpoint(out / "checkpoint.json")
+        logits = np.asarray(graphnet.forward_logits(model, data))
+        idx = graphnet.split_indices(data, "test")
+        assert report["accuracy"] == np.mean(np.argmax(logits[idx], axis=1) == data.labels[idx])
+
     def test_eval_rejects_a_label_beyond_the_model_classes(self, tmp_path, capsys):
         # five one-edge graphs with the synthetic suite's nine degree
         # columns; label 4 lies below the five graphs but beyond the

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkconv import autodiff as ad
 from hkconv import graphnet as gn
@@ -270,6 +272,32 @@ class TestGraphBatch:
         assert not np.shares_memory(batch.features, parts["features"])
 
 
+def _loop_macro_f1(y_true, y_pred):
+    """Macro-F1 as one pass of boolean masks per class: the oracle for
+    gn.macro_f1_score and gn._scores."""
+    scores = []
+    for c in np.unique(np.concatenate([y_true, y_pred])):
+        tp = float(np.sum((y_pred == c) & (y_true == c)))
+        fp = float(np.sum((y_pred == c) & (y_true != c)))
+        fn = float(np.sum((y_pred != c) & (y_true == c)))
+        denom = 2 * tp + fp + fn
+        scores.append(0.0 if denom == 0 else 2 * tp / denom)
+    return float(np.mean(scores))
+
+
+def _split_metrics(logits, labels, idx):
+    """(accuracy, macro-F1, loss) of the rows idx scored alone: a
+    log-softmax and an argmax of those rows only, the oracle for
+    gn._scores."""
+    rows = logits[idx]
+    y = labels[idx]
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    loss = float(-np.mean(logp[np.arange(len(y)), y]))
+    pred = np.argmax(rows, axis=1)
+    return float(np.mean(pred == y)), _loop_macro_f1(y, pred), loss
+
+
 class TestMetrics:
     def test_macro_f1_on_a_hand_confusion_fixture(self):
         # per class: f1(0) = 4/7, f1(1) = 4/7, f1(2) = 2/3
@@ -287,6 +315,35 @@ class TestMetrics:
         np.testing.assert_allclose(got, (0.0 + 2.0 / 3.0) / 2.0, rtol=1e-12)
         with pytest.raises(ParameterError):
             gn.macro_f1_score(np.array([]), np.array([]))
+
+    def test_macro_f1_matches_the_mask_loop(self):
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            # labels need not start at 0 or be contiguous
+            values = rng.integers(-3, 3, size=5) * int(rng.integers(1, 1000))
+            y_true, y_pred = values[rng.integers(0, 5, size=(2, n))]
+            assert gn.macro_f1_score(y_true, y_pred) == _loop_macro_f1(y_true, y_pred), trial
+
+    def test_scores_match_each_split_scored_alone(self):
+        # logits of few distinct values tie the argmax often; some classes
+        # are absent from a part, and some parts hold one class only
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            n, C = int(rng.integers(3, 60)), int(rng.integers(2, 6))
+            logits = rng.integers(-2, 2, size=(n, C)) * rng.choice([1.0, 0.37, 1e-3])
+            if trial % 2:
+                logits = logits + rng.standard_normal((n, C))
+            labels = rng.integers(0, C, size=n)
+            order = rng.permutation(n)
+            parts = [np.sort(p) for p in np.split(order, sorted(rng.integers(1, n, size=2)))]
+            parts = [p for p in parts if p.size]
+            if trial % 3 == 0:
+                labels[parts[0]] = labels[parts[0][0]]
+            if trial % 5 == 0:
+                parts.append(order[: int(rng.integers(1, n + 1))])  # unsorted, overlapping
+            got = gn._scores(logits, labels, parts)
+            assert got == [_split_metrics(logits, labels, p) for p in parts], trial
 
     def test_evaluate_matches_direct_recomputation(self):
         batch = _small_batch()
@@ -922,6 +979,154 @@ class TestKeptLayout:
             _assert_bits(kept[1][path], g)
 
 
+def _readout_case(draw):
+    """A node-task batch drawn for the readout property, its model, and
+    the test split as the readout: up to 14 nodes (isolated ones too),
+    one-hot or continuous features, 2-4 layers, K 2-8, width 4/8/16,
+    either pooling, and 1..n readout nodes."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = np.eye(3)[rng.integers(0, 3, size=n)]
+    else:
+        features = 0.5 * rng.standard_normal((n, 3))
+    readout = np.zeros(n, dtype=bool)
+    readout[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = True
+    rest = rng.integers(0, 3, size=n)
+    masks = {"train": ~readout & (rest == 0), "val": ~readout & (rest == 1), "test": readout}
+    batch = gn.GraphBatch(features, np.array(edges).reshape(-1, 2), rng.integers(0, 3, n), masks=masks)
+    cfg = gn.HKNConfig(
+        layers=draw(st.integers(2, 4)),
+        K=draw(st.integers(2, 8)),
+        hidden_dim=draw(st.sampled_from((4, 8, 16))),
+        pooling_weights=draw(st.sampled_from(layers.POOLINGS)),
+        kernel_source="random",
+        task="node",
+        seed=draw(st.integers(0, 50)),
+    )
+    return batch, gn.build_hkn(cfg, feature_dim=3, num_classes=3)
+
+
+class TestSplitReadout:
+    """evaluate on a node task runs the forward on the split's receptive
+    field alone (layout.restrict), and its rows keep the full forward's
+    bits."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_restricted_rows_keep_the_full_forwards_bits(self, data):
+        batch, model = _readout_case(data.draw)
+        idx = gn.split_indices(batch, "test")
+        full = np.asarray(gn.forward_logits(model, batch))
+        rows = np.asarray(gn.forward_logits(model, gn._SplitNodes(batch, "test")))
+        # a lone readout node is read out twice, unless the graph has one node
+        assert len(rows) == max(idx.size, min(batch.num_nodes, 2))
+        _assert_bits(rows[: idx.size], full[idx])
+        got = gn.evaluate(model, batch, "test")
+        assert (got.accuracy, got.macro_f1, got.loss) == _split_metrics(full, batch.labels, idx)
+
+    @pytest.mark.parametrize("depth", (2, 4))
+    def test_all_nodes_restrict_to_the_full_layout(self, depth):
+        data = _class_tree(300, seed=5)
+        plan = data.class_layout(depth, False)
+        whole = lo.restrict(plan, np.arange(data.num_nodes))
+        _assert_bits(whole.features, plan.features)
+        _assert_bits(whole.labels, plan.labels)
+        for got, want in zip(whole.layer_edges, plan.layer_edges):
+            for a, b in zip(got[:4], want[:4]):
+                np.testing.assert_array_equal(a, b)
+            assert got[4] == want[4]
+
+    def test_every_split_scores_as_the_full_forward(self):
+        data, cfg = _suite("class_tree")
+        model = gn.build_hkn(cfg, feature_dim=data.feature_dim, num_classes=data.num_classes)
+        full = np.asarray(gn.forward_logits(model, data))
+        plan = data.class_layout(cfg.layers, False)
+        for split in gn.SPLITS:
+            idx = gn.split_indices(data, split)
+            got = gn.evaluate(model, data, split)
+            assert (got.accuracy, got.macro_f1, got.loss) == _split_metrics(full, data.labels, idx)
+            kept = data.class_layout(cfg.layers, False, split)
+            # the split reads a part of each layer's pair rows
+            for part, whole in zip(kept.layer_edges, plan.layer_edges):
+                assert len(part[0]) <= len(whole[0]) and part[4] <= whole[4]
+            assert kept.labels.size == idx.size
+
+    def test_a_relabelled_batch_scores_alike(self):
+        data = _class_tree(300, seed=9)
+        model = _tiny_model(data, pooling_weights="attention")
+        perm = np.random.default_rng(2).permutation(data.num_nodes)
+        moved = _bench_checks().relabel_batch(gn.GraphBatch, data, perm)
+        for split in gn.SPLITS:
+            idx, moved_idx = gn.split_indices(data, split), gn.split_indices(moved, split)
+            rows = np.asarray(gn.forward_logits(model, gn._SplitNodes(data, split)))
+            moved_rows = np.asarray(gn.forward_logits(model, gn._SplitNodes(moved, split)))
+            # node i of data is node perm[i] of moved
+            at = np.searchsorted(moved_idx, perm[idx])
+            _assert_bits(moved_rows[at], rows)
+            got, again = gn.evaluate(model, data, split), gn.evaluate(model, moved, split)
+            assert (got.accuracy, got.macro_f1) == (again.accuracy, again.macro_f1)
+            # the loss adds the same terms in another order
+            assert math.isclose(got.loss, again.loss, rel_tol=64 * np.finfo(float).eps)
+
+    def test_restricted_once_per_split_on_first_evaluate(self, monkeypatch):
+        calls = []
+
+        def spy(plan, readout, _inner=lo.restrict):
+            calls.append(len(readout))
+            return _inner(plan, readout)
+
+        monkeypatch.setattr(lo, "restrict", spy)
+        data = _class_tree(120, seed=1)
+        model = _tiny_model(data)
+        gn.forward_logits(model, data)
+        assert calls == []  # neither the batch nor the full forward builds one
+        gn.evaluate(model, data, "test")
+        gn.evaluate(model, data, "test")
+        assert calls == [int(data.masks["test"].sum())]
+        gn.evaluate(model, data, "val")
+        assert len(calls) == 2
+        gn.train(model, data, gn.TrainConfig(max_epochs=2))
+        assert len(calls) == 2  # train's final test metrics reuse the kept layout
+
+    def test_empty_or_unknown_split_is_an_error(self, rng):
+        batch = _node_task_batch(rng)
+        model = _tiny_model(batch)
+        with pytest.raises(ParameterError, match="unknown split"):
+            gn.evaluate(model, batch, "holdout")
+        masks = {**batch.masks, "val": np.zeros(batch.num_nodes, dtype=bool)}
+        empty = gn.GraphBatch(batch.features, batch.edges, batch.labels, masks=masks)
+        with pytest.raises(ParameterError, match="'val' is empty"):
+            gn.evaluate(model, empty, "val")
+
+    @pytest.mark.parametrize("task", gn.TASKS)
+    def test_evaluate_runs_one_forward_through_the_benchmark_hook(self, monkeypatch, rng, task):
+        # bench/workloads.py and bench/tracing.py replace forward_logits
+        # with wrappers of this fixed signature, which time or trace every
+        # forward evaluate runs
+        data = _node_task_batch(rng) if task == "node" else _small_batch()
+        model = _tiny_model(data)
+        inner, calls = gn.forward_logits, []
+
+        def hook(model, batch, leaves=None, training=False, rng=None):
+            return inner(model, batch, leaves, training, rng)
+
+        def counted(*args, **kwargs):
+            calls.append((len(args), kwargs))
+            return hook(*args, **kwargs)
+
+        monkeypatch.setattr(gn, "forward_logits", counted)
+        want = gn.evaluate(model, data, "test")
+        assert calls == [(2, {})]
+        monkeypatch.setattr(gn, "forward_logits", inner)
+        again = gn.evaluate(model, data, "test")
+        assert (want.accuracy, want.macro_f1, want.loss) == (
+            again.accuracy, again.macro_f1, again.loss
+        )
+
+
 class TestTraining:
     def test_dropout_masks_and_history_keep_their_bits(self, monkeypatch):
         # criterion 9's suite, K = 3, dropout 0.3: each layer draws one
@@ -1076,7 +1281,7 @@ def _two_forward_train(model, data, cfg):
         logits = np.asarray(gn.forward_logits(model, data))
         stats = {}
         for split in gn.SPLITS:
-            acc, f1, loss = gn._split_metrics(logits, data, split)
+            acc, f1, loss = _split_metrics(logits, data.labels, gn.split_indices(data, split))
             stats[split] = acc
             history.append((epoch, split, loss, acc, f1))
         improved = stats["val"] > best["val_acc"]

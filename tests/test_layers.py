@@ -553,6 +553,19 @@ class TestKernelAggregate:
         for path in ("centers", "neighbors"):
             _assert_same_bits(mixed[path][at], alone[path])
 
+    @pytest.mark.parametrize("width", (4, 16))
+    @pytest.mark.parametrize("classes", (2, 3, 5, 7, 8))
+    def test_head_rows_keep_their_bits_at_every_height(self, rng, width, classes):
+        # the rule the restricted node-task evaluate rests on: the head's
+        # (units, width+1) @ (width+1, classes) product in lmath.cross_dist
+        # is not widened, and with fewer than 8 columns its kernels are the
+        # ragged ones, yet a row keeps its bits at every height from 2 up
+        rows = lmath.embed(0.5 * rng.standard_normal((3000, width)), self.kappa)
+        bank = lmath.embed(0.1 * rng.standard_normal((classes, width)), self.kappa)
+        full = lmath.cross_dist(rows, bank, self.kappa)
+        for height in (*range(2, 300), *range(300, 3000, 97)):
+            _assert_same_bits(lmath.cross_dist(rows[:height], bank, self.kappa), full[:height])
+
     def test_blas_adds_each_product_output_over_the_rows_in_order(self, rng):
         # the rule the live-row backward rests on: a weight or bias product
         # A[:, cols].T @ x over only the rows where A is nonzero has the bits

@@ -4,6 +4,8 @@ it must see every tape op of a gradient pass and leave nothing patched."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import hkconv
 import hkconv.cli  # noqa: F401 - the tracer patches cli.cmd_train
 from hkconv import autodiff as ad
@@ -92,4 +94,39 @@ def test_tracer_counts_one_unit_per_training_step():
     assert len(tracer.spans["graphnet.forward"]) == 2
     after = _attributes(OWNERS)
     assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_times_the_one_forward_of_a_node_task_evaluate():
+    # evaluate on a node task runs the split's receptive field alone, still
+    # through graphnet.forward_logits, so the tracer's wrapper times it and
+    # labels its conv layers and head
+    rng = np.random.default_rng(0)
+    n = 40
+    edges = np.array([(i, int(rng.integers(i))) for i in range(1, n)])
+    split = rng.integers(0, 3, size=n)
+    data = gn.GraphBatch(
+        np.eye(3)[split], edges, rng.integers(0, 2, size=n),
+        masks={name: split == i for i, name in enumerate(gn.SPLITS)},
+    )
+    model = gn.build_hkn(
+        gn.HKNConfig(K=2, hidden_dim=5, task="node", pooling_weights="attention"),
+        feature_dim=3, num_classes=2,
+    )
+    want = gn.evaluate(model, data, "test")
+    before = _attributes(OWNERS)
+    tracer = _load_tracing().Tracer(hkconv)
+    tracer.install()
+    try:
+        with tracer.unit():
+            got = gn.evaluate(model, data, "test")
+    finally:
+        tracer.uninstall()
+
+    assert (got.accuracy, got.macro_f1, got.loss) == (want.accuracy, want.macro_f1, want.loss)
+    assert len(tracer.spans["graphnet.forward"]) == 1
+    metrics = tracer.metrics({})
+    for stage in ("model.conv0.pool", "model.conv1.pool", "model.head"):
+        assert metrics[f"{stage}.fwd_ms"]["value"] > 0, stage
+    after = _attributes(OWNERS)
     assert [key for key, value in before.items() if after[key] is not value] == []
